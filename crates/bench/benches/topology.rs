@@ -11,6 +11,7 @@ fn bench_route_generation(c: &mut Criterion) {
     let mut g = c.benchmark_group("routegen");
     for (name, topo) in [
         ("bus8", Topology::bus(8)),
+        ("bus256", Topology::bus(256)),
         ("torus2x4", Topology::torus2d(2, 4)),
         ("torus8x8", Topology::torus2d(8, 8)),
         ("random64", {

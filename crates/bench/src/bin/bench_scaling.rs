@@ -27,9 +27,14 @@
 //! A timing-plane reference (`fabric_pairs`, cycle-accurate model) is
 //! recorded for 8 ranks for cross-plane context.
 //!
+//! Setup cost: `routing` records `RoutingPlan::compute` on a bus at
+//! 8/64/256 ranks (best of several runs), the offline route generation that
+//! every run pays before it streams.
+//!
 //! Usage: `bench_scaling [--quick|--smoke | --full] [--out PATH]`
 //! (`--smoke` is an alias for `--quick`.)
 
+use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -38,6 +43,7 @@ use smi::env::SmiCtx;
 use smi::prelude::*;
 use smi_fabric::bench_api::p2p_pairs;
 use smi_fabric::params::FabricParams;
+use smi_topology::RoutingPlan;
 
 /// One measured point.
 struct Point {
@@ -297,6 +303,20 @@ fn run_threads(ranks: usize, n: u64, bulk: bool) -> (f64, usize) {
     (dt, report.threads_spawned)
 }
 
+/// Fastest of `reps` route generations on `Topology::bus(ranks)`, in seconds.
+fn routing_seconds(ranks: usize, reps: usize) -> f64 {
+    let topo = Topology::bus(ranks);
+    (0..reps)
+        .map(|_| {
+            let t = Instant::now();
+            let plan = RoutingPlan::compute(&topo).expect("bus is routable");
+            let dt = t.elapsed().as_secs_f64();
+            drop(black_box(plan));
+            dt
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
 /// Executor params for a sweep point.
 fn sweep_params(workers: usize, stealing: bool) -> RuntimeParams {
     RuntimeParams {
@@ -361,6 +381,15 @@ fn main() {
         smi_bench::Effort::Normal => (vec![2, 4, 8, 16, 32, 64], 8 << 20),
         smi_bench::Effort::Full => (vec![2, 4, 8, 16, 32, 64, 128], 32 << 20),
     };
+
+    // --- setup: route generation at the swept rank counts ---
+    let routing: Vec<(usize, f64)> = [8usize, 64, 256]
+        .iter()
+        .map(|&ranks| (ranks, routing_seconds(ranks, 5)))
+        .collect();
+    for &(ranks, secs) in &routing {
+        println!("routing (bus)   {ranks:>6} ranks {:>10.3} ms", secs * 1e3);
+    }
 
     let mut points: Vec<Point> = Vec::new();
     println!(
@@ -537,6 +566,13 @@ fn main() {
         ));
     }
     json.push_str("  ],\n");
+    let routing_json: Vec<String> = routing
+        .iter()
+        .map(|&(ranks, secs)| {
+            format!("{{\"topology\": \"bus\", \"ranks\": {ranks}, \"seconds\": {secs:.6}}}")
+        })
+        .collect();
+    json.push_str(&format!("  \"routing\": [{}],\n", routing_json.join(", ")));
     json.push_str(&format!(
         "  \"fabric_pairs_8rank\": {{\"elems_per_pair\": {}, \"time_us\": {:.3}, \"aggregate_gbit_s\": {:.3}}}\n",
         fabric_n, fr.time_us, fr.aggregate_gbit_s

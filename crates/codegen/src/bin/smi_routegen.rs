@@ -15,6 +15,12 @@
 //! Reads a topology description (JSON, or the `A:0 - B:0` text format when
 //! the file does not start with `{`), computes the routing plan, optionally
 //! verifies deadlock-freedom, and writes the serialized plan.
+//!
+//! The JSON carries only the per-rank next-hop tables (`per_rank[r].next[dst]`
+//! is `"Local"` or `{"Via": port}`), which is what the paper uploads to the
+//! CKS modules; per-pair paths are not stored, since they are the walks of
+//! those tables. A plan read back from JSON is outside input: check it with
+//! `RoutingPlan::validate_against` before use.
 
 use std::process::ExitCode;
 

@@ -49,7 +49,7 @@ pub fn p2p_stream(
 ) -> Result<P2pResult, SimError> {
     assert_ne!(src, dst, "use injection_rate for local loopback");
     let plan = RoutingPlan::compute(topo).expect("routable topology");
-    let hops = plan.hops(src, dst);
+    let hops = plan.hops(topo, src, dst);
     let metas: Vec<ProgramMeta> = (0..topo.num_ranks())
         .map(|r| {
             let mut m = ProgramMeta::new();
@@ -195,7 +195,7 @@ pub fn pingpong(
     params: &FabricParams,
 ) -> Result<LatencyResult, SimError> {
     let plan = RoutingPlan::compute(topo).expect("routable topology");
-    let hops = plan.hops(a, b_rank);
+    let hops = plan.hops(topo, a, b_rank);
     let dtype = Datatype::Int;
     let metas: Vec<ProgramMeta> = (0..topo.num_ranks())
         .map(|r| {

@@ -7,12 +7,18 @@
 //! uses c2 immediately after c1, i.e. a packet may hold c1 while waiting
 //! for c2.
 //!
+//! The CDG is built from the next-hop tables themselves, so the check covers
+//! exactly the routes packets take. Because routing is destination-based,
+//! every edge is a pair of table entries for one destination: a packet for
+//! `dst` leaving rank `r` by port `q` arrives at `p = peer(r, q)` and leaves
+//! by `next[p][dst]`. Enumerating (r, dst) builds the whole graph in O(n²).
+//!
 //! The up*/down* scheme in [`crate::routing`] guarantees acyclicity by
 //! construction; this module proves it per instance, and demonstrates that
 //! plain shortest-path routing is *not* safe (e.g. on rings).
 
 use crate::routing::Hop;
-use crate::{RoutingPlan, Topology};
+use crate::{NextHop, RoutingPlan, Topology};
 
 /// A directed channel is identified by its outgoing endpoint: `(rank, qsfp)`
 /// names the transmit side of a cable, which determines the direction.
@@ -37,6 +43,11 @@ impl From<Hop> for Channel {
 ///
 /// Returns `None` if the plan is deadlock-free (acyclic CDG), or
 /// `Some(cycle)` with a witness sequence of channels `c0 → c1 → … → c0`.
+///
+/// # Panics
+///
+/// If the plan's tables do not match `topo` in size; check a plan from
+/// outside input with [`RoutingPlan::validate_against`] first.
 pub fn find_cycle(topo: &Topology, plan: &RoutingPlan) -> Option<Vec<Channel>> {
     let ports = topo.ports_per_rank();
     let n_channels = topo.num_ranks() * ports;
@@ -44,12 +55,20 @@ pub fn find_cycle(topo: &Topology, plan: &RoutingPlan) -> Option<Vec<Channel>> {
 
     // Adjacency of the CDG, deduplicated.
     let mut edges: Vec<Vec<usize>> = vec![Vec::new(); n_channels];
-    for src in 0..plan.num_ranks() {
-        for dst in 0..plan.num_ranks() {
-            let path = plan.path(src, dst);
-            for w in path.windows(2) {
-                let a = chan_id(Channel::from(w[0]));
-                let b = chan_id(Channel::from(w[1]));
+    for dst in 0..plan.num_ranks() {
+        for rank in 0..plan.num_ranks() {
+            let NextHop::Via(q) = plan.next_hop(rank, dst) else {
+                continue;
+            };
+            let Some(peer) = topo.peer(rank, q) else {
+                continue;
+            };
+            if let NextHop::Via(q2) = plan.next_hop(peer.rank, dst) {
+                let a = chan_id(Channel { rank, qsfp: q });
+                let b = chan_id(Channel {
+                    rank: peer.rank,
+                    qsfp: q2,
+                });
                 if !edges[a].contains(&b) {
                     edges[a].push(b);
                 }
@@ -167,11 +186,11 @@ mod tests {
         let plan = RoutingPlan::compute_with(&topo, Scheme::ShortestPath).unwrap();
         if let Some(cycle) = find_cycle(&topo, &plan) {
             // Every consecutive pair in the witness must be a CDG edge, i.e.
-            // appear consecutively in some routed path.
+            // appear consecutively in the table walk of some routed pair.
             let consecutive_in_some_path = |a: Channel, b: Channel| {
                 (0..8).any(|s| {
                     (0..8).any(|d| {
-                        plan.path(s, d)
+                        plan.path(&topo, s, d)
                             .windows(2)
                             .any(|w| Channel::from(w[0]) == a && Channel::from(w[1]) == b)
                     })

@@ -44,6 +44,20 @@ pub enum TopologyError {
         /// Destination rank.
         dst: usize,
     },
+    /// A routing table forwards out of a port with no cable plugged in.
+    NoCable {
+        /// Rank owning the port.
+        rank: usize,
+        /// The uncabled (or nonexistent) port.
+        qsfp: usize,
+    },
+    /// Following the routing tables from `src` never reaches `dst`.
+    RoutingLoop {
+        /// Source rank.
+        src: usize,
+        /// Destination rank.
+        dst: usize,
+    },
     /// More ranks than the 8-bit wire rank field can address.
     TooManyRanks(usize),
     /// A malformed topology description (JSON or text).
@@ -79,6 +93,18 @@ impl fmt::Display for TopologyError {
             }
             TopologyError::NoRoute { src, dst } => {
                 write!(f, "no deadlock-free route from rank {src} to rank {dst}")
+            }
+            TopologyError::NoCable { rank, qsfp } => {
+                write!(
+                    f,
+                    "routing table forwards out of {rank}:{qsfp}, which has no cable"
+                )
+            }
+            TopologyError::RoutingLoop { src, dst } => {
+                write!(
+                    f,
+                    "routing tables loop: rank {src} never reaches rank {dst}"
+                )
             }
             TopologyError::TooManyRanks(n) => {
                 write!(f, "{n} ranks exceed the 8-bit wire rank field (max 256)")

@@ -166,10 +166,11 @@ impl Topology {
         &self.connections
     }
 
-    /// The far end of the cable plugged into `rank`:`qsfp`, if any.
+    /// The far end of the cable plugged into `rank`:`qsfp`; `None` when no
+    /// cable is plugged in or the port does not exist.
     #[inline]
     pub fn peer(&self, rank: usize, qsfp: usize) -> Option<Endpoint> {
-        self.adj[rank][qsfp]
+        *self.adj.get(rank)?.get(qsfp)?
     }
 
     /// Iterate over the connected ports of `rank` as `(qsfp, far_end)`.

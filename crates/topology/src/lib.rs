@@ -18,8 +18,8 @@
 //!   text formats.
 //! * [`RoutingPlan`] — per-rank next-hop tables computed with **up\*/down\***
 //!   routing over a BFS spanning tree (a classic deadlock-free oblivious
-//!   scheme for arbitrary topologies), together with the full per-pair paths
-//!   for analysis.
+//!   scheme for arbitrary topologies). The tables are the whole plan; the
+//!   route of any pair is recovered by walking them.
 //! * [`deadlock`] — a channel-dependency-graph acyclicity checker used to
 //!   *prove* (per instance) that a routing plan cannot deadlock under
 //!   wormhole/backpressure semantics.
@@ -36,7 +36,7 @@
 //! let plan = RoutingPlan::compute(&topo).unwrap();
 //! assert!(deadlock::is_deadlock_free(&topo, &plan));
 //! // Every pair is reachable; the routed diameter is small.
-//! assert!(plan.max_hops() <= 5);
+//! assert!(plan.max_hops(&topo) <= 5);
 //! // The description round-trips through the on-disk JSON format.
 //! let again = Topology::from_json(&topo.to_json()).unwrap();
 //! assert_eq!(topo, again);

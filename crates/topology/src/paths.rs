@@ -7,7 +7,7 @@ use crate::{RoutingPlan, Topology};
 pub struct PathStats {
     /// BFS (ideal) hop count per pair: `shortest[src][dst]`.
     pub shortest: Vec<Vec<usize>>,
-    /// Hop count under the routing plan per pair.
+    /// Hop count under the routing plan per pair (length of the table walk).
     pub routed: Vec<Vec<usize>>,
     /// Maximum BFS hop count (graph diameter).
     pub diameter: usize,
@@ -46,7 +46,7 @@ impl PathStats {
         let n = topo.num_ranks();
         let shortest = shortest_hops(topo);
         let routed: Vec<Vec<usize>> = (0..n)
-            .map(|s| (0..n).map(|d| plan.hops(s, d)).collect())
+            .map(|s| (0..n).map(|d| plan.hops(topo, s, d)).collect())
             .collect();
         let diameter = shortest
             .iter()

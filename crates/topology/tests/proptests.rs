@@ -73,23 +73,4 @@ proptest! {
         let back = Topology::from_json(&topo.to_json()).unwrap();
         prop_assert_eq!(topo, back);
     }
-
-    /// Next-hop tables agree with the first hop of the stored paths
-    /// (the invariant the CKS hardware tables rely on).
-    #[test]
-    fn tables_match_paths(n in 2usize..16, seed in any::<u64>()) {
-        let topo = random_topo(n, 4, 3, seed);
-        let plan = RoutingPlan::compute(&topo).unwrap();
-        for s in 0..n {
-            for d in 0..n {
-                match plan.next_hop(s, d) {
-                    smi_topology::NextHop::Local => prop_assert_eq!(s, d),
-                    smi_topology::NextHop::Via(q) => {
-                        prop_assert_eq!(plan.path(s, d)[0].from.qsfp, q);
-                        prop_assert_eq!(plan.path(s, d)[0].from.rank, s);
-                    }
-                }
-            }
-        }
-    }
 }

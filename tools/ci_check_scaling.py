@@ -10,6 +10,11 @@ Hard checks (fail the build):
   * At 1 worker, stealing must not collapse against static sharding:
     steal >= HARD_FLOOR x static for every rank count. This is the
     "stealing bookkeeping is free when uncontended" bar.
+  * Setup: the `routing` record must cover 8/64/256 ranks, and routing a
+    256-rank bus (`RoutingPlan::compute`, best of several runs) must take
+    at most ROUTING_256_MAX_S. Table-only route generation measures a few
+    ms there; materializing every per-pair path took 37-170 ms, depending
+    on the host.
 
 Soft checks (warn only — shared CI runners may expose a single core, so
 multi-worker speedups are not reliably measurable there):
@@ -26,6 +31,7 @@ PATH = sys.argv[1] if len(sys.argv) > 1 else "BENCH_scaling.json"
 SWEEP_RANKS = [8, 64, 256]
 HARD_FLOOR = 0.6  # steal < 0.6x static at 1 worker = regression, fail
 SOFT_FLOOR = 0.9  # below this just warn: CI noise
+ROUTING_256_MAX_S = 0.025  # 256-rank bus route generation, hard
 
 with open(PATH) as f:
     data = json.load(f)
@@ -86,6 +92,20 @@ else:
     else:
         print(f"ok: skewed 1-worker pair ({sk_steal:.2f} vs {sk_static:.2f} "
               f"Melem/s, {ratio:.2f}x)")
+
+# --- hard: route generation (setup) cost ---
+routing = {r["ranks"]: r["seconds"] for r in data.get("routing", [])}
+missing_routing = [r for r in SWEEP_RANKS if r not in routing]
+if missing_routing:
+    print(f"ERROR: routing record missing rank counts {missing_routing}")
+    status = 1
+else:
+    for ranks in SWEEP_RANKS:
+        print(f"ok: routing {ranks} ranks in {routing[ranks] * 1e3:.3f} ms")
+    if routing[256] > ROUTING_256_MAX_S:
+        print(f"ERROR: 256-rank routing took {routing[256] * 1e3:.2f} ms "
+              f"(> {ROUTING_256_MAX_S * 1e3:.0f} ms)")
+        status = 1
 
 # --- soft: multi-worker behaviour (only measurable with >1 cores) ---
 if ap > 1:
