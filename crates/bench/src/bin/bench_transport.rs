@@ -16,8 +16,9 @@
 //! `socket_pooling: false` (`p2p_uds_unpooled`, `p2p_tcp_unpooled`): the
 //! wire-identical v2 baseline the pooled fast path is measured against.
 //! Every point carries the run's wire counters (syscalls, bytes,
-//! bytes-per-syscall, pool hits/misses, corked frames) so CI can gate on
-//! syscall amortization, not just wall time.
+//! bytes-per-syscall, pool hits/misses, corked frames) and its payload
+//! bytes copied (`RunReport::payload_copies`), so CI can gate on syscall
+//! amortization and copy counts, not just wall time.
 //!
 //! Usage: `bench_transport [--quick|--smoke | --full] [--out PATH]`
 
@@ -40,7 +41,11 @@ struct Point {
     seconds: f64,
     melem_per_s: f64,
     wire: WireSnapshot,
+    payload_copies: u64,
 }
+
+/// What one run measured: seconds, wire counters and payload bytes copied.
+type Measured = (f64, WireSnapshot, u64);
 
 fn plan_for(backend: TransportBackend) -> ProcessPlan {
     let topo = Topology::bus(RANKS);
@@ -53,8 +58,8 @@ fn plan_for(backend: TransportBackend) -> ProcessPlan {
 }
 
 /// Disjoint pairs 0 → 2 and 1 → 3: with the half/half split every element
-/// crosses the inter-group link. Returns (seconds, wire counters).
-fn run_p2p(backend: TransportBackend, n: u64, pooling: bool) -> (f64, WireSnapshot) {
+/// crosses the inter-group link.
+fn run_p2p(backend: TransportBackend, n: u64, pooling: bool) -> Measured {
     let plan = plan_for(backend);
     let metas: Vec<ProgramMeta> = (0..RANKS)
         .map(|r| {
@@ -93,12 +98,11 @@ fn run_p2p(backend: TransportBackend, n: u64, pooling: bool) -> (f64, WireSnapsh
     let report = run_split_mpmd(&plan, metas, programs, params).expect("launch");
     let dt = t.elapsed().as_secs_f64();
     assert!(report.results.iter().all(|&ok| ok), "data corrupted");
-    (dt, report.wire_stats)
+    (dt, report.wire_stats, report.payload_copies)
 }
 
-/// Rooted collective (bcast or reduce) of `n` elements. Returns
-/// (seconds, wire counters).
-fn run_collective(backend: TransportBackend, n: u64, reduce: bool) -> (f64, WireSnapshot) {
+/// Rooted collective (bcast or reduce) of `n` elements.
+fn run_collective(backend: TransportBackend, n: u64, reduce: bool) -> Measured {
     let plan = plan_for(backend);
     let meta = if reduce {
         ProgramMeta::new().with(OpSpec::reduce(0, Datatype::Int, ReduceOp::Add))
@@ -138,7 +142,7 @@ fn run_collective(backend: TransportBackend, n: u64, reduce: bool) -> (f64, Wire
     .expect("launch");
     let dt = t.elapsed().as_secs_f64();
     assert!(report.results.iter().all(|&ok| ok), "data corrupted");
-    (dt, report.wire_stats)
+    (dt, report.wire_stats, report.payload_copies)
 }
 
 fn main() {
@@ -179,7 +183,7 @@ fn main() {
         } else {
             NPROC
         };
-        type Workload = Box<dyn Fn() -> ((f64, WireSnapshot), u64)>;
+        type Workload = Box<dyn Fn() -> (Measured, u64)>;
         let mut workloads: Vec<(String, Workload)> = vec![
             (
                 format!("p2p_{}", backend.name()),
@@ -203,7 +207,7 @@ fn main() {
             ));
         }
         for (series, run) in workloads {
-            let ((dt, wire), total) = run();
+            let ((dt, wire, payload_copies), total) = run();
             let melem = total as f64 / dt / 1e6;
             println!(
                 "{:<20} {:>8} {:>6} {:>6} {:>10} {:>10.3} {:>9.2} {:>11.0}",
@@ -225,6 +229,7 @@ fn main() {
                 seconds: dt,
                 melem_per_s: melem,
                 wire,
+                payload_copies,
             });
         }
     }
@@ -240,7 +245,7 @@ fn main() {
     json.push_str("  \"points\": [\n");
     for (i, p) in points.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"series\": \"{}\", \"backend\": \"{}\", \"ranks\": {}, \"nproc\": {}, \"elems\": {}, \"seconds\": {:.6}, \"melem_per_s\": {:.3}, \"send_syscalls\": {}, \"send_bytes\": {}, \"recv_syscalls\": {}, \"recv_bytes\": {}, \"bytes_per_syscall\": {:.1}, \"pool_hits\": {}, \"pool_misses\": {}, \"corked_frames\": {}}}{}\n",
+            "    {{\"series\": \"{}\", \"backend\": \"{}\", \"ranks\": {}, \"nproc\": {}, \"elems\": {}, \"seconds\": {:.6}, \"melem_per_s\": {:.3}, \"send_syscalls\": {}, \"send_bytes\": {}, \"recv_syscalls\": {}, \"recv_bytes\": {}, \"bytes_per_syscall\": {:.1}, \"pool_hits\": {}, \"pool_misses\": {}, \"corked_frames\": {}, \"payload_copies\": {}}}{}\n",
             p.series,
             p.backend,
             p.ranks,
@@ -256,6 +261,7 @@ fn main() {
             p.wire.pool_hits,
             p.wire.pool_misses,
             p.wire.corked_frames,
+            p.payload_copies,
             if i + 1 < points.len() { "," } else { "" }
         ));
     }

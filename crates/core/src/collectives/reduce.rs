@@ -1,8 +1,20 @@
 //! The reduce channel (`SMI_Open_reduce_channel` / `SMI_Reduce`) with
 //! credit-based flow control (§4.4).
+//!
+//! Contributions move as runs. A leaf wraps each whole-packet span of its
+//! granted credit (up to `burst_packets` packets) into one
+//! [`smi_wire::PacketRun`]; only what is not a whole packet goes through
+//! the packet framer. Combiners receive frames whole and fold a run's
+//! payload straight into the ring window, so neither side materializes
+//! the run as packets. The wire packet stream is unchanged: a run stands
+//! for exactly the packets the framer would have produced.
+//!
+//! A contribution is untrusted input. Before folding, a combiner checks
+//! the op, the source rank and the credit bound, and reports a violation
+//! as [`SmiError::ProtocolViolation`].
 
 use smi_wire::reduce::SmiNumeric;
-use smi_wire::{Deframer, NetworkPacket, PacketOp, ReduceOp};
+use smi_wire::{Frame, NetworkPacket, PacketOp, PacketRun, ReduceOp};
 
 use crate::collectives::topology::{CollectiveScheme, TreeShape};
 use crate::collectives::{expect_op, CollectivePoll, CollectiveState};
@@ -22,9 +34,9 @@ use crate::SmiError;
 /// Both [`CollectiveScheme`]s share one code path, parameterized by the
 /// shape's parent/children relations:
 ///
-/// * a **leaf** (no children) frames contributions within its granted
-///   window and stages packet bursts toward its parent — in the linear
-///   scheme that parent is the root, preserving the pre-tree protocol;
+/// * a **leaf** (no children) stages contributions within its granted
+///   window as runs toward its parent — in the linear scheme that parent
+///   is the root, preserving the pre-tree protocol;
 /// * a **combiner** (any node with children: the linear/tree root, or a
 ///   tree interior node) folds its own and its children's contributions
 ///   into a `C`-slot ring window, emits each completed element — to the
@@ -195,10 +207,18 @@ impl<T: SmiNumeric> ReduceChannel<T> {
         }
     }
 
+    /// Leaf: stage contributions within the granted credit. Whole-packet
+    /// spans (up to `max_burst` packets) travel as one [`Frame::Run`] — a
+    /// single metered copy into a refcounted buffer, carried whole across
+    /// in-memory hops and socket frames. The framer takes only what is not
+    /// a whole packet: the remainder of a partly filled packet, a slice
+    /// shorter than a packet, and the tail before a window or message end.
     fn try_reduce_leaf(&mut self, snd: &[T]) -> Result<usize, SmiError> {
         if !self.advance()? {
             return Ok(0);
         }
+        let epp = T::DATATYPE.elems_per_packet();
+        let sz = T::DATATYPE.size_bytes();
         let mut consumed = 0usize;
         while consumed < snd.len() {
             if self.credits == 0 {
@@ -208,22 +228,38 @@ impl<T: SmiNumeric> ReduceChannel<T> {
                 }
             }
             let avail = (snd.len() - consumed).min(self.credits as usize);
-            let (take, pkt) = self.framer.push_slice(&snd[consumed..consumed + avail]);
+            let take = if self.framer.pending() == 0 && avail >= epp {
+                let take = avail.min(self.io.max_burst() * epp);
+                let take = take - take % epp;
+                let h = self.framer.header_template();
+                self.io.stage_frame(Frame::Run(PacketRun::from_elems(
+                    h.src,
+                    h.dst,
+                    h.port,
+                    h.op,
+                    &snd[consumed..consumed + take],
+                )));
+                take
+            } else {
+                let (take, pkt) = self.framer.push_slice(&snd[consumed..consumed + avail]);
+                if let Some(p) = pkt {
+                    self.io.stage(p);
+                }
+                take
+            };
+            self.io.meter().add_bytes(take * sz);
             consumed += take;
             self.done += take as u64;
             self.credits -= take as u64;
             // Flush at credit-window and message boundaries so no packet
             // straddles a window tile (matching the fabric support kernel).
-            let maybe = if self.credits == 0 || self.done == self.count {
-                pkt.or_else(|| self.framer.flush())
-            } else {
-                pkt
-            };
-            if let Some(p) = maybe {
-                self.io.stage(p);
-                if self.io.stage_full() && !self.io.try_flush()? {
-                    break;
+            if self.credits == 0 || self.done == self.count {
+                if let Some(p) = self.framer.flush() {
+                    self.io.stage(p);
                 }
+            }
+            if self.io.stage_full() && !self.io.try_flush()? {
+                break;
             }
         }
         self.advance()?;
@@ -251,23 +287,64 @@ impl<T: SmiNumeric> ReduceChannel<T> {
     }
 
     /// Fold network contributions into the ring window (combiner nodes).
+    /// Run frames fold straight from their shared payload; inline packets
+    /// fold from their valid payload bytes. A contribution is untrusted
+    /// input: the op, the source and the credit bound are all checked
+    /// before any element of it touches the window.
     fn fold_network(&mut self) -> Result<(), SmiError> {
-        let c = self.credits_window;
-        while let Some(pkt) = self.io.try_recv_data()? {
-            expect_op(&pkt, PacketOp::Reduce)?;
-            let src = pkt.header.src as usize;
+        while let Some(frame) = self.io.try_recv_data_frame()? {
+            let h = *frame.header();
+            if h.op != PacketOp::Reduce {
+                return Err(SmiError::ProtocolViolation {
+                    detail: format!("expected Reduce contribution, got {:?}", h.op),
+                });
+            }
+            let src = h.src as usize;
             let slot = self.contrib_slot[src].ok_or_else(|| SmiError::ProtocolViolation {
                 detail: format!("reduce contribution from unexpected world rank {src}"),
             })?;
-            let mut df = Deframer::new(T::DATATYPE);
-            df.refill(pkt);
-            while let Some(v) = df.pop::<T>() {
-                let at = self.progress[slot];
-                debug_assert!(at < self.ledger.granted(), "credit window violated");
-                let s = (at % c) as usize;
-                self.window[s] = self.op.apply(self.window[s], v);
-                self.progress[slot] = at + 1;
+            let sz = T::DATATYPE.size_bytes();
+            let bytes = match &frame {
+                Frame::Pkt(pkt) => {
+                    let n = pkt.header.count as usize;
+                    if n > T::DATATYPE.elems_per_packet() {
+                        return Err(SmiError::ProtocolViolation {
+                            detail: format!("reduce packet from rank {src} claims {n} elements"),
+                        });
+                    }
+                    pkt.valid_payload(T::DATATYPE)
+                }
+                Frame::Run(run) => {
+                    if run.dtype != T::DATATYPE {
+                        return Err(SmiError::ProtocolViolation {
+                            detail: format!(
+                                "reduce run from rank {src} carries {:?}, expected {:?}",
+                                run.dtype,
+                                T::DATATYPE
+                            ),
+                        });
+                    }
+                    run.payload.as_slice()
+                }
+            };
+            let n = (bytes.len() / sz) as u64;
+            let at = self.progress[slot];
+            let limit = self.ledger.granted().min(self.count);
+            if at + n > limit {
+                return Err(SmiError::ProtocolViolation {
+                    detail: format!(
+                        "reduce credit overrun: rank {src} sent elements {at}..{} \
+                         but only {limit} are credited",
+                        at + n
+                    ),
+                });
             }
+            fold_into(
+                &mut self.window,
+                &mut self.progress[slot],
+                self.op,
+                bytes.chunks_exact(sz).map(T::read_le),
+            );
         }
         Ok(())
     }
@@ -302,11 +379,15 @@ impl<T: SmiNumeric> ReduceChannel<T> {
         // Fold own contributions, up to a window ahead of completed results
         // (the cursor `progress[0]` survives across calls, so re-passed
         // elements are never folded twice).
-        while self.progress[0] < base + c && self.progress[0] - base < n as u64 {
-            let idx = (self.progress[0] - base) as usize;
-            let slot = (self.progress[0] % c) as usize;
-            self.window[slot] = self.op.apply(self.window[slot], snd[idx]);
-            self.progress[0] += 1;
+        let from = (self.progress[0] - base) as usize;
+        let to = (c as usize).min(n);
+        if from < to {
+            fold_into(
+                &mut self.window,
+                &mut self.progress[0],
+                self.op,
+                snd[from..to].iter().copied(),
+            );
         }
         // Drain network contributions (bounded by the credit window).
         self.fold_network()?;
@@ -338,14 +419,14 @@ impl<T: SmiNumeric> ReduceChannel<T> {
     /// to one credit window ahead of the emitted stream.
     fn try_reduce_interior(&mut self, snd: &[T]) -> Result<usize, SmiError> {
         self.advance()?; // runs the combine-and-forward pump
-        let c = self.credits_window;
-        let mut consumed = 0usize;
-        while consumed < snd.len() && self.progress[0] < self.done + c {
-            let slot = (self.progress[0] % c) as usize;
-            self.window[slot] = self.op.apply(self.window[slot], snd[consumed]);
-            self.progress[0] += 1;
-            consumed += 1;
-        }
+        let room = (self.done + self.credits_window - self.progress[0]) as usize;
+        let consumed = snd.len().min(room);
+        fold_into(
+            &mut self.window,
+            &mut self.progress[0],
+            self.op,
+            snd[..consumed].iter().copied(),
+        );
         if consumed > 0 {
             self.advance()?;
         }
@@ -373,6 +454,7 @@ impl<T: SmiNumeric> ReduceChannel<T> {
             let v = self.window[slot];
             self.window[slot] = identity_of::<T>(self.op);
             let pkt = self.framer.push(&v);
+            self.io.meter().add_bytes(T::DATATYPE.size_bytes());
             self.done = i + 1;
             self.credits -= 1;
             // Flush at credit-window and message boundaries: upstream
@@ -463,10 +545,217 @@ impl<T: SmiNumeric> CollectivePoll for ReduceChannel<T> {
     }
 }
 
+/// Fold `values` into the ring `window` at consecutive element positions
+/// starting from `*progress`, advancing it. The caller guarantees the
+/// positions stay within one window of the oldest incomplete element, so
+/// no slot is folded for two different elements.
+fn fold_into<T: SmiNumeric>(
+    window: &mut [T],
+    progress: &mut u64,
+    op: ReduceOp,
+    values: impl Iterator<Item = T>,
+) {
+    let c = window.len();
+    let mut s = (*progress % c as u64) as usize;
+    for v in values {
+        window[s] = op.apply(window[s], v);
+        *progress += 1;
+        s += 1;
+        if s == c {
+            s = 0;
+        }
+    }
+}
+
 fn identity_of<T: SmiNumeric>(op: ReduceOp) -> T {
     match op {
         ReduceOp::Add => T::ZERO,
         ReduceOp::Max => T::MIN_VALUE,
         ReduceOp::Min => T::MAX_VALUE,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use crossbeam::channel::{bounded, Receiver, Sender};
+    use smi_codegen::OpKind;
+    use smi_wire::{Datatype, Framer};
+
+    use super::*;
+    use crate::comm::SplitBoard;
+    use crate::endpoint::{new_table, CollRes, PacketRx};
+    use crate::transport::{Burst, CopyMeter};
+
+    /// A linear-scheme root combiner over `ranks` members with its data
+    /// delivery path exposed, so a test can play the contributors.
+    struct Root {
+        ch: ReduceChannel<i32>,
+        data_in: Sender<Burst>,
+        _to_cks: Receiver<Burst>,
+        _credit_in: Sender<Burst>,
+    }
+
+    fn root(ranks: usize, credits: u64, count: u64) -> Root {
+        let (to_cks, to_cks_rx) = bounded(64);
+        let (data_in, data_rx) = bounded(64);
+        let (credit_in, credit_rx) = bounded(64);
+        let table = new_table();
+        {
+            let mut t = table.lock();
+            t.declare(0, OpKind::Reduce);
+            t.put_coll(
+                0,
+                CollRes {
+                    kind: OpKind::Reduce,
+                    dtype: Datatype::Int,
+                    reduce_op: Some(ReduceOp::Add),
+                    to_cks,
+                    rx: PacketRx::new(data_rx, CopyMeter::default()),
+                    credit_rx: PacketRx::new(credit_rx, CopyMeter::default()),
+                },
+            );
+        }
+        let comm = Communicator::world(ranks, 0, Arc::new(SplitBoard::default()));
+        let params = RuntimeParams {
+            reduce_credits: credits,
+            ..RuntimeParams::default()
+        };
+        let ch = ReduceChannel::open(table, &comm, count, 0, 0, CollectiveScheme::Linear, &params)
+            .unwrap();
+        Root {
+            ch,
+            data_in,
+            _to_cks: to_cks_rx,
+            _credit_in: credit_in,
+        }
+    }
+
+    fn run(src: u8, op: PacketOp, values: &[i32]) -> Frame {
+        Frame::Run(PacketRun::from_elems(src, 0, 0, op, values))
+    }
+
+    fn packets(src: u8, values: &[i32]) -> Vec<Frame> {
+        let mut fr = Framer::new(Datatype::Int, src, 0, 0, PacketOp::Reduce);
+        let mut out = Vec::new();
+        let mut off = 0;
+        while off < values.len() {
+            let (take, pkt) = fr.push_slice(&values[off..]);
+            off += take;
+            out.extend(pkt.map(Frame::Pkt));
+        }
+        out.extend(fr.flush().map(Frame::Pkt));
+        out
+    }
+
+    /// Drive the root with its own contribution of ones; returns the
+    /// error, if any, and the results completed so far.
+    fn drive(r: &mut Root, count: usize) -> (Option<SmiError>, Vec<i32>) {
+        let own = vec![1; count];
+        let mut out = vec![0; count];
+        let mut done = 0;
+        for _ in 0..8 {
+            match r.ch.try_reduce_slice(&own[done..], &mut out[done..]) {
+                Ok(n) => done += n,
+                Err(e) => return (Some(e), out[..done].to_vec()),
+            }
+        }
+        (None, out[..done].to_vec())
+    }
+
+    fn violation(e: Option<SmiError>, what: &str) {
+        match e {
+            Some(SmiError::ProtocolViolation { detail }) => {
+                assert!(detail.contains(what), "unexpected detail: {detail}")
+            }
+            other => panic!("expected a protocol violation ({what}), got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn runs_and_packets_fold_alike() {
+        let mut r = root(3, 8, 8);
+        let a: Vec<i32> = (0..8).map(|i| i * 10).collect();
+        let b: Vec<i32> = (0..8).map(|i| -i).collect();
+        r.data_in.send(vec![run(1, PacketOp::Reduce, &a)]).unwrap();
+        r.data_in.send(packets(2, &b)).unwrap();
+        let (err, out) = drive(&mut r, 8);
+        assert!(err.is_none(), "{err:?}");
+        let want: Vec<i32> = (0..8).map(|i| 1 + i * 10 - i).collect();
+        assert_eq!(out, want);
+    }
+
+    #[test]
+    fn run_past_credit_window_is_rejected_before_folding() {
+        let mut r = root(2, 4, 16);
+        r.data_in
+            .send(vec![run(1, PacketOp::Reduce, &[5; 5])])
+            .unwrap();
+        let (err, out) = drive(&mut r, 16);
+        violation(err, "credit overrun");
+        assert!(out.is_empty());
+        assert_eq!(r.ch.progress[1], 0, "no element of the run was folded");
+        assert!(
+            r.ch.window.iter().all(|&v| v == 1),
+            "only own values folded"
+        );
+    }
+
+    #[test]
+    fn packets_past_credit_window_are_rejected() {
+        let mut r = root(2, 4, 16);
+        // 7 + 1 elements against a 4-credit window.
+        r.data_in.send(packets(1, &[2; 8])).unwrap();
+        let (err, _) = drive(&mut r, 16);
+        violation(err, "credit overrun");
+        assert_eq!(r.ch.progress[1], 0);
+    }
+
+    #[test]
+    fn contribution_past_message_end_is_rejected() {
+        // The implicit first window (8) exceeds the message (3): the
+        // bound is the message end, not the window.
+        let mut r = root(2, 8, 3);
+        r.data_in
+            .send(vec![run(1, PacketOp::Reduce, &[1; 4])])
+            .unwrap();
+        let (err, _) = drive(&mut r, 3);
+        violation(err, "credit overrun");
+    }
+
+    #[test]
+    fn contribution_from_non_child_is_rejected() {
+        let mut r = root(3, 4, 4);
+        r.data_in
+            .send(vec![run(3, PacketOp::Reduce, &[1; 2])])
+            .unwrap();
+        let (err, _) = drive(&mut r, 4);
+        violation(err, "unexpected world rank 3");
+    }
+
+    #[test]
+    fn contribution_with_wrong_op_is_rejected() {
+        let mut r = root(2, 4, 4);
+        r.data_in
+            .send(vec![run(1, PacketOp::Bcast, &[1; 2])])
+            .unwrap();
+        let (err, _) = drive(&mut r, 4);
+        violation(err, "expected Reduce");
+        let mut r = root(2, 4, 4);
+        let credit = NetworkPacket::control(1, 0, 0, PacketOp::Credit, 4);
+        r.data_in.send(vec![Frame::Pkt(credit)]).unwrap();
+        let (err, _) = drive(&mut r, 4);
+        violation(err, "expected Reduce");
+    }
+
+    #[test]
+    fn oversized_packet_count_is_rejected() {
+        let mut r = root(2, 64, 64);
+        let mut pkt = NetworkPacket::new(1, 0, 0, PacketOp::Reduce);
+        pkt.header.count = 200;
+        r.data_in.send(vec![Frame::Pkt(pkt)]).unwrap();
+        let (err, _) = drive(&mut r, 64);
+        violation(err, "claims 200 elements");
     }
 }

@@ -184,6 +184,7 @@ pub struct RuntimeParams {
     /// at the process boundary). `false` restores the packet-by-packet
     /// copying path — wire-identical to the historical baseline and the
     /// reference point for [`crate::env::RunReport::payload_copies`].
+    /// Reduce ignores this flag: its contributions always travel as runs.
     pub zero_copy: bool,
     /// Socket-plane fast path: when `true` (default), socket connections
     /// encode frames into pooled buffers recycled on ack, drain the replay

@@ -159,7 +159,9 @@ const MAX_FRAME_BODY_BYTES: usize = RECV_BLOCK_CAP - FRAME_HEADER_BYTES;
 /// is chunked into multiple frames (each with its own seq).
 const FRAME_SPLIT_BYTES: usize = 64 * 1024;
 
-/// Adaptive cork: flush as soon as this many outbound bytes are pending…
+/// Adaptive cork: a pending write is deferred only while it keeps growing
+/// from one pump poll to the next, and is flushed as soon as this many
+/// outbound bytes are pending…
 const CORK_FLUSH_BYTES: usize = 32 * 1024;
 
 /// …or after this many deferring polls, whichever comes first. Kept well
@@ -1091,6 +1093,7 @@ impl SocketConn {
             staged_pos: 0,
             ctrl: Vec::new(),
             cork_defers: 0,
+            cork_pending: 0,
             pending_sever: None,
             rbuf: Vec::new(),
             rpos: 0,
@@ -1402,6 +1405,9 @@ pub(crate) struct SocketPump {
     ctrl: Vec<u8>,
     /// Polls the adaptive cork has deferred a pending vectored write.
     cork_defers: u32,
+    /// Pending outbound bytes seen by the previous poll: the cork defers
+    /// only while this grows (0 after a flush or a fault).
+    cork_pending: usize,
     /// An injected sever waiting for the staged bytes to drain.
     pending_sever: Option<u64>,
     /// Legacy read path: inbound bytes not yet parsed (`rpos` = parse
@@ -1518,7 +1524,8 @@ impl SocketPump {
     /// `write_vectored` spans the control buffer (piggybacked acks) plus
     /// every unwritten ring frame, straight from the pooled encode buffers
     /// — no staging copy, one syscall for many frames. The adaptive cork
-    /// defers small writes a few polls so bursts coalesce.
+    /// defers a small write while the producer keeps adding to it, so
+    /// bursts coalesce; once a poll finds no new bytes, it writes.
     fn flush_vectored(&mut self, progressed: &mut bool) -> Result<(), String> {
         let shared = self.shared.clone();
         let mut ring = shared.ring.lock().expect("ring lock");
@@ -1534,13 +1541,17 @@ impl SocketPump {
         }
         if pending == 0 {
             self.cork_defers = 0;
+            self.cork_pending = 0;
             return Ok(());
         }
-        if pending < CORK_FLUSH_BYTES && self.cork_defers < CORK_MAX_DEFERS {
+        let growing = pending > self.cork_pending;
+        if growing && pending < CORK_FLUSH_BYTES && self.cork_defers < CORK_MAX_DEFERS {
             self.cork_defers += 1;
+            self.cork_pending = pending;
             return Ok(());
         }
         self.cork_defers = 0;
+        self.cork_pending = 0;
         loop {
             let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(MAX_IOV);
             if !self.ctrl.is_empty() {
@@ -1941,6 +1952,7 @@ impl SocketPump {
         self.ctrl.clear();
         self.pending_sever = None;
         self.cork_defers = 0;
+        self.cork_pending = 0;
         self.rbuf.clear();
         self.rpos = 0;
         self.rfilled = 0;
@@ -2990,16 +3002,23 @@ mod tests {
         assert!(health.peer_down().is_none());
     }
 
-    #[test]
-    fn cork_merges_small_bursts_into_one_frame() {
+    /// A pooled sender/receiver pair sharing one set of wire counters on
+    /// the send side.
+    fn pooled_pair() -> (SocketConn, SocketPump, SocketConn, SocketPump, WireStats) {
         let (sa, sb) = pair();
         let health = FabricHealth::default();
         let wire = WireStats::default();
         let mut cfg_a = pooled_cfg(peer("uds"), &[]);
         cfg_a.wire = wire.clone();
-        let (conn_a, mut pump_a) = SocketConn::new(sa, cfg_a, health.clone()).unwrap();
-        let (conn_b, mut pump_b) =
-            SocketConn::new(sb, pooled_cfg(peer("uds"), &[(0, 0)]), health.clone()).unwrap();
+        let (conn_a, pump_a) = SocketConn::new(sa, cfg_a, health.clone()).unwrap();
+        let (conn_b, pump_b) =
+            SocketConn::new(sb, pooled_cfg(peer("uds"), &[(0, 0)]), health).unwrap();
+        (conn_a, pump_a, conn_b, pump_b, wire)
+    }
+
+    #[test]
+    fn cork_merges_small_bursts_into_one_frame() {
+        let (conn_a, mut pump_a, conn_b, mut pump_b, wire) = pooled_pair();
         let mut tx = conn_a.tx(0, 0);
         let mut rx = conn_b.rx((0, 0));
         // 16 one-packet offers before the pump ever runs: everything after
@@ -3032,6 +3051,58 @@ mod tests {
             }
         }
         assert_eq!(seen, (0..16u8).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn cork_writes_a_quiet_producer_on_the_next_poll() {
+        let (conn_a, mut pump_a, _conn_b, _pump_b, wire) = pooled_pair();
+        let mut tx = conn_a.tx(0, 0);
+        assert!(matches!(
+            tx.offer(vec![pkt(1, 9).into()]),
+            LinkSend::Accepted
+        ));
+        // The first poll sees the bytes arrive and may defer; the second
+        // sees no new bytes and must write them.
+        for _ in 0..2 {
+            pump_a.poll();
+        }
+        assert_eq!(
+            wire.send_syscalls.load(Ordering::Relaxed),
+            1,
+            "a lone small write waits at most one extra poll"
+        );
+    }
+
+    #[test]
+    fn cork_still_coalesces_a_streaming_producer() {
+        let (conn_a, mut pump_a, conn_b, mut pump_b, wire) = pooled_pair();
+        let mut tx = conn_a.tx(0, 0);
+        let mut rx = conn_b.rx((0, 0));
+        let offers = 16u8;
+        for i in 0..offers {
+            assert!(matches!(
+                tx.offer(vec![pkt(1, i).into()]),
+                LinkSend::Accepted
+            ));
+            pump_a.poll();
+        }
+        let mut seen = Vec::new();
+        for _ in 0..100_000 {
+            pump_a.poll();
+            pump_b.poll();
+            while let LinkRecv::Burst(b) = rx.try_recv() {
+                seen.extend(b.iter().map(tag));
+            }
+            if seen.len() == offers as usize {
+                break;
+            }
+        }
+        assert_eq!(seen, (0..offers).collect::<Vec<_>>());
+        let syscalls = wire.send_syscalls.load(Ordering::Relaxed);
+        assert!(
+            syscalls < offers as u64 / 2,
+            "{offers} offers, one per poll, took {syscalls} send syscalls"
+        );
     }
 
     #[test]

@@ -547,3 +547,223 @@ proptest! {
         );
     }
 }
+
+// ---------------------------------------------------------------------------
+// Reduce run path ≡ serial reference
+// ---------------------------------------------------------------------------
+
+/// Contribution of `rank` at element `i`. Integer-valued and small, so an
+/// `f32` sum is exact in any fold order: the result cannot depend on the
+/// order in which a combiner folds its children.
+fn reduce_value(rank: usize, i: u64) -> i32 {
+    ((rank as i64 * 7919 + i as i64 * 104_729) % 2001) as i32 - 1000
+}
+
+/// The root's reduce output when every member contributes
+/// `conv(reduce_value(rank, i))`, fed to `reduce_slice` in `chunk`-element
+/// slices so framer tails and runs interleave.
+#[allow(clippy::too_many_arguments)]
+fn reduce_root<T: smi_wire::reduce::SmiNumeric>(
+    plan: &ProcessPlan,
+    root: usize,
+    count: u64,
+    chunk: usize,
+    op: ReduceOp,
+    scheme: smi::CollectiveScheme,
+    params: RuntimeParams,
+    conv: fn(i32) -> T,
+) -> Vec<T> {
+    let params = RuntimeParams {
+        collective_scheme: scheme,
+        ..params
+    };
+    let meta = ProgramMeta::new().with(OpSpec::reduce(0, T::DATATYPE, op));
+    let mut results = run_split_spmd(
+        plan,
+        meta,
+        move |ctx: SmiCtx| {
+            let comm = ctx.world();
+            let rank = comm.rank();
+            let contrib: Vec<T> = (0..count).map(|i| conv(reduce_value(rank, i))).collect();
+            let mut out = contrib.clone();
+            let mut ch = ctx.open_reduce_channel::<T>(count, 0, root, &comm).unwrap();
+            let mut off = 0;
+            while off < contrib.len() {
+                let end = (off + chunk).min(contrib.len());
+                ch.reduce_slice(&contrib[off..end], &mut out[off..end])
+                    .unwrap();
+                off = end;
+            }
+            out
+        },
+        params,
+    )
+    .unwrap()
+    .results;
+    results.swap_remove(root)
+}
+
+/// The serial reference: each element folded over ranks `0..ranks` from
+/// the operator's first operand.
+fn reduce_reference<T: smi_wire::reduce::SmiNumeric>(
+    ranks: usize,
+    count: u64,
+    op: ReduceOp,
+    conv: fn(i32) -> T,
+) -> Vec<T> {
+    (0..count)
+        .map(|i| {
+            (0..ranks)
+                .map(|r| conv(reduce_value(r, i)))
+                .reduce(|a, b| op.apply(a, b))
+                .unwrap()
+        })
+        .collect()
+}
+
+/// Run one reduce configuration in memory and over Unix-domain sockets
+/// (two groups) and compare both, bit for bit, with the serial reference.
+#[allow(clippy::too_many_arguments)]
+fn check_reduce_equivalence<T: smi_wire::reduce::SmiNumeric>(
+    ranks: usize,
+    root: usize,
+    count: u64,
+    chunk: usize,
+    op: ReduceOp,
+    scheme: smi::CollectiveScheme,
+    params: RuntimeParams,
+    conv: fn(i32) -> T,
+    bits: fn(&T) -> u32,
+) -> Result<(), TestCaseError> {
+    let topo = Topology::bus(ranks);
+    let want: Vec<u32> = reduce_reference(ranks, count, op, conv)
+        .iter()
+        .map(bits)
+        .collect();
+    for (backend, nproc) in [(TransportBackend::InMem, 1), (TransportBackend::Uds, 2)] {
+        let plan = ProcessPlan::split(&topo, backend, nproc);
+        let got: Vec<u32> =
+            reduce_root(&plan, root, count, chunk, op, scheme, params.clone(), conv)
+                .iter()
+                .map(bits)
+                .collect();
+        prop_assert_eq!(
+            got,
+            want.clone(),
+            "{:?} {:?} on {} ranks={} root={} count={} chunk={} credits={} burst={}",
+            T::DATATYPE,
+            op,
+            backend,
+            ranks,
+            root,
+            count,
+            chunk,
+            params.reduce_credits,
+            params.burst_packets
+        );
+    }
+    Ok(())
+}
+
+/// Credit windows the equivalence suite sweeps: below a packet (framer
+/// only), exactly one `i32`/`f32` packet, several packets, and the tight
+/// configuration (4 credits, one-packet bursts, one-deep FIFOs).
+fn reduce_params(pick: u8) -> RuntimeParams {
+    match pick % 5 {
+        0 => RuntimeParams {
+            reduce_credits: 1,
+            ..Default::default()
+        },
+        1 => RuntimeParams {
+            reduce_credits: 4,
+            ..Default::default()
+        },
+        2 => RuntimeParams {
+            reduce_credits: 7,
+            ..Default::default()
+        },
+        3 => RuntimeParams {
+            reduce_credits: 32,
+            ..Default::default()
+        },
+        _ => RuntimeParams::tight(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Reduce contributions travel as runs, framer tails and partial
+    /// window-end packets; whichever mix a configuration produces, the
+    /// root's output is bit-identical to the serial fold for `i32` and
+    /// `f32`, every operator, linear and tree schemes, in memory and over
+    /// Unix-domain sockets, at counts that are not multiples of the packet
+    /// size or the window.
+    #[test]
+    fn reduce_runs_match_serial_fold(
+        ranks in 3usize..7,
+        root_pick in any::<u8>(),
+        count in 1u64..300,
+        chunk in 1usize..64,
+        op_pick in 0usize..3,
+        float in any::<bool>(),
+        tree in any::<bool>(),
+        params_pick in any::<u8>(),
+    ) {
+        let root = root_pick as usize % ranks;
+        let op = ReduceOp::ALL[op_pick];
+        let scheme = if tree {
+            smi::CollectiveScheme::Tree
+        } else {
+            smi::CollectiveScheme::Linear
+        };
+        let params = reduce_params(params_pick);
+        if float {
+            check_reduce_equivalence(
+                ranks, root, count, chunk, op, scheme, params, |v| v as f32, |v| v.to_bits(),
+            )?;
+        } else {
+            check_reduce_equivalence(
+                ranks, root, count, chunk, op, scheme, params, |v| v, |v| *v as u32,
+            )?;
+        }
+    }
+}
+
+/// Deterministic corner of the suite: every type × operator × scheme at a
+/// count that ends mid-packet and mid-window, with a window of exactly one
+/// packet and with the tight configuration.
+#[test]
+fn reduce_runs_match_serial_fold_matrix() {
+    let schemes = [smi::CollectiveScheme::Linear, smi::CollectiveScheme::Tree];
+    for op in ReduceOp::ALL {
+        for scheme in schemes {
+            for params in [reduce_params(2), reduce_params(4)] {
+                check_reduce_equivalence(
+                    5,
+                    1,
+                    123,
+                    50,
+                    op,
+                    scheme,
+                    params.clone(),
+                    |v| v,
+                    |v| *v as u32,
+                )
+                .unwrap();
+                check_reduce_equivalence(
+                    5,
+                    1,
+                    123,
+                    50,
+                    op,
+                    scheme,
+                    params,
+                    |v| v as f32,
+                    |v| v.to_bits(),
+                )
+                .unwrap();
+            }
+        }
+    }
+}

@@ -6,7 +6,9 @@ in-memory, Unix-domain-socket and TCP transports for every workload, plus
 the unpooled p2p baselines for the socket backends) or when the pooled
 socket fast path stops amortizing syscalls: uds p2p must move at least
 MIN_SYSCALL_AMORTIZATION more bytes per send syscall than the unpooled v2
-baseline. Syscall counts are deterministic enough to gate hard; wall-time
+baseline, or when reduce over uds copies more payload bytes per element
+than MAX_REDUCE_UDS_COPIES_PER_ELEM. Copy counts do not depend on the
+schedule and syscall counts are deterministic enough to gate hard; wall-time
 ratios (socket-vs-inmem slowdown, pooled-vs-unpooled throughput) stay
 soft checks — shared CI runners are too noisy — and only print warnings.
 """
@@ -26,6 +28,12 @@ SLOWDOWN_BUDGET = 20.0
 # Hard floor: pooled uds p2p must batch at least this many times more
 # bytes into each send syscall than the unpooled baseline.
 MIN_SYSCALL_AMORTIZATION = 4.0
+# Hard ceiling: payload bytes copied per reduced element byte (i32, 4 bytes)
+# on reduce_uds. Leaves carry contributions as runs (one copy at the leaf,
+# one serialization at the socket; only window-end tails travel as copied
+# packets). Measured 5.0918 at 64K elements with the default 512-credit
+# window; the packet-per-call reduce measured 7.0820.
+MAX_REDUCE_UDS_COPIES_PER_ELEM = 5.092
 # Soft floor: pooling must not cost more than this much p2p throughput.
 POOLING_REGRESSION_BUDGET = 1.5
 
@@ -52,6 +60,23 @@ def rate(name):
     p = point(name)
     return p["melem_per_s"] if p else None
 
+
+# Hard gate: payload copies of reduce over uds (schedule-independent).
+reduce = point("reduce_uds")
+if "payload_copies" not in reduce:
+    print("ERROR: reduce_uds recorded no payload_copies")
+    sys.exit(1)
+reduce_copies = reduce["payload_copies"] / (reduce["elems"] * 4)
+if reduce_copies > MAX_REDUCE_UDS_COPIES_PER_ELEM:
+    print(
+        f"ERROR: reduce_uds copies {reduce_copies:.4f} payload bytes per element "
+        f"byte, above the {MAX_REDUCE_UDS_COPIES_PER_ELEM} ceiling"
+    )
+    sys.exit(1)
+print(
+    f"ok: reduce_uds copies {reduce_copies:.4f} per element "
+    f"(<= {MAX_REDUCE_UDS_COPIES_PER_ELEM})"
+)
 
 # Hard gate: syscall amortization of the pooled fast path (vectored writes
 # + adaptive cork) over the unpooled per-frame baseline, on uds where the
