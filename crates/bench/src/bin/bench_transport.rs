@@ -12,13 +12,11 @@
 //! * `bcast` — rooted broadcast of the whole payload.
 //! * `reduce` — rooted elementwise-add reduction of the whole payload.
 //!
-//! The socket backends additionally run the `p2p` workload with
-//! `socket_pooling: false` (`p2p_uds_unpooled`, `p2p_tcp_unpooled`): the
-//! wire-identical v2 baseline the pooled fast path is measured against.
 //! Every point carries the run's wire counters (syscalls, bytes,
 //! bytes-per-syscall, pool hits/misses, corked frames) and its payload
-//! bytes copied (`RunReport::payload_copies`), so CI can gate on syscall
-//! amortization and copy counts, not just wall time.
+//! bytes copied (`RunReport::payload_copies`), so CI can gate on absolute
+//! syscall amortization (`p2p_uds` bytes per send syscall) and copy counts
+//! (`reduce_uds` copies per element), not just wall time.
 //!
 //! Usage: `bench_transport [--quick|--smoke | --full] [--out PATH]`
 
@@ -59,7 +57,7 @@ fn plan_for(backend: TransportBackend) -> ProcessPlan {
 
 /// Disjoint pairs 0 → 2 and 1 → 3: with the half/half split every element
 /// crosses the inter-group link.
-fn run_p2p(backend: TransportBackend, n: u64, pooling: bool) -> Measured {
+fn run_p2p(backend: TransportBackend, n: u64) -> Measured {
     let plan = plan_for(backend);
     let metas: Vec<ProgramMeta> = (0..RANKS)
         .map(|r| {
@@ -90,12 +88,8 @@ fn run_p2p(backend: TransportBackend, n: u64, pooling: bool) -> Measured {
             b
         })
         .collect();
-    let params = RuntimeParams {
-        socket_pooling: pooling,
-        ..Default::default()
-    };
     let t = Instant::now();
-    let report = run_split_mpmd(&plan, metas, programs, params).expect("launch");
+    let report = run_split_mpmd(&plan, metas, programs, RuntimeParams::default()).expect("launch");
     let dt = t.elapsed().as_secs_f64();
     assert!(report.results.iter().all(|&ok| ok), "data corrupted");
     (dt, report.wire_stats, report.payload_copies)
@@ -184,10 +178,10 @@ fn main() {
             NPROC
         };
         type Workload = Box<dyn Fn() -> (Measured, u64)>;
-        let mut workloads: Vec<(String, Workload)> = vec![
+        let workloads: Vec<(String, Workload)> = vec![
             (
                 format!("p2p_{}", backend.name()),
-                Box::new(move || (run_p2p(backend, n, true), 2 * n)),
+                Box::new(move || (run_p2p(backend, n), 2 * n)),
             ),
             (
                 format!("bcast_{}", backend.name()),
@@ -198,14 +192,6 @@ fn main() {
                 Box::new(move || (run_collective(backend, n, true), n)),
             ),
         ];
-        if backend != TransportBackend::InMem {
-            // The wire-identical v2 baseline the pooled path is gated
-            // against in CI.
-            workloads.push((
-                format!("p2p_{}_unpooled", backend.name()),
-                Box::new(move || (run_p2p(backend, n, false), 2 * n)),
-            ));
-        }
         for (series, run) in workloads {
             let ((dt, wire, payload_copies), total) = run();
             let melem = total as f64 / dt / 1e6;

@@ -409,7 +409,7 @@ pub struct RunReport<T> {
     /// [`crate::transport::WireSnapshot`]). All zeros for the in-memory
     /// fabric; for split runs the counters aggregate every socket
     /// connection of the run. `send_bytes_per_syscall()` is the headline
-    /// number the pooled fast path optimizes.
+    /// number the vectored send path and its cork optimize.
     pub wire_stats: WireSnapshot,
     /// OS threads the runtime spawned for this run (rank threads, if any,
     /// plus executor workers).

@@ -186,17 +186,6 @@ pub struct RuntimeParams {
     /// reference point for [`crate::env::RunReport::payload_copies`].
     /// Reduce ignores this flag: its contributions always travel as runs.
     pub zero_copy: bool,
-    /// Socket-plane fast path: when `true` (default), socket connections
-    /// encode frames into pooled buffers recycled on ack, drain the replay
-    /// ring with one `write_vectored` syscall spanning many frames (acks
-    /// piggybacked), cork small same-pair bursts under one frame header,
-    /// and decode data frames as zero-copy run views into pooled receive
-    /// blocks. `false` restores the per-frame allocate/stage/copy path —
-    /// observationally identical results, kept as the A/B baseline for
-    /// [`crate::env::RunReport::wire_stats`]. Both ends of a connection
-    /// must agree (the knob rides the shared `RuntimeParams`). Ignored by
-    /// the in-memory backend.
-    pub socket_pooling: bool,
     /// How many child-runs ahead of the in-order gather schedule the
     /// tree-gather combiner grants credits (pipelined multi-window grants).
     /// `1` degenerates to strictly serial per-child windows; the default
@@ -232,7 +221,6 @@ impl Default for RuntimeParams {
             },
             stream_replay_budget: 4 << 20,
             zero_copy: true,
-            socket_pooling: true,
             gather_grant_ahead: 2,
         }
     }
@@ -266,7 +254,6 @@ impl RuntimeParams {
             },
             stream_replay_budget: 4 << 20,
             zero_copy: true,
-            socket_pooling: true,
             gather_grant_ahead: 2,
         }
     }

@@ -9,8 +9,9 @@
 //! Two consumers:
 //!
 //! * the **wire level** (the real fault surface): each socket pump holds a
-//!   [`FaultInjector`] for its outbound direction and consults it as it
-//!   stages replay-ring frames. Frame indices are 1-based emission
+//!   [`FaultInjector`] for its outbound direction and consults it once per
+//!   replay-ring frame, when the frame first reaches the write head of the
+//!   vectored flush. Frame indices are 1-based emission
 //!   ordinals; every action is one-shot, so replayed frames (which consume
 //!   fresh ordinals) are not re-faulted and recovery converges. A dropped
 //!   or delayed frame leaves a sequence gap at the receiver, which treats
@@ -241,7 +242,7 @@ impl FaultInjector {
     }
 
     /// Forget withheld frames (called on a connection fault: the frames
-    /// live on in the replay ring and will be re-staged after resume).
+    /// live on in the replay ring and will be re-sent after resume).
     pub fn clear_held(&mut self) {
         self.held.clear();
         self.released.clear();

@@ -3,31 +3,29 @@
 //! heals mid-stream disconnects losslessly.
 //!
 //! One connection is opened per pair of OS processes and multiplexes every
-//! topology edge crossing that boundary. Wire format **v2** is a stream of
-//! frames, each `[src_rank u16 LE][src_qsfp u16 LE][npackets u32 LE]
-//! [seq u64 LE]` followed by `npackets` 32-byte packed packets
-//! ([`NetworkPacket::pack`]); the `(src_rank, src_qsfp)` tag is the
-//! *sender-side* endpoint of the topology edge the burst travels, which is
-//! all the receiver needs to demux the frame onto the right CKR input.
-//! `seq` numbers data frames 1, 2, 3… per connection; two `src_rank`
-//! sentinels reuse the header shape for control traffic:
+//! topology edge crossing that boundary. The wire is a stream of frames,
+//! each `[src_rank u16 LE][src_qsfp u16 LE][len u32 LE][seq u64 LE]`
+//! followed by a body. The `(src_rank, src_qsfp)` tag is the *sender-side*
+//! endpoint of the topology edge the burst travels, which is all the
+//! receiver needs to demux the frame onto the right CKR input. `seq`
+//! numbers data frames 1, 2, 3… per connection.
 //!
-//! The pooled fast path ([`crate::RuntimeParams::socket_pooling`], default
-//! on) upgrades data frames to **v3** bodies: bit 31 of the `npackets`
-//! field ([`V3_FLAG`]) marks the low 31 bits as a body *byte length*, and
-//! the body is a sequence of typed items — [`V3_ITEM_PKT`] (one packed
-//! packet) or [`V3_ITEM_RUN`] (`[dtype u8][4-byte packed header]
-//! [nbytes u32 LE]` + densely packed payload). Run payloads are appended
-//! with one `memcpy` at encode time and decoded into [`PayloadRun`] *views*
-//! of the pooled receive block, so each payload byte is copied exactly once
-//! per boundary crossing. Encode buffers come from a free list refilled on
-//! ack; sends go out as one `write_vectored` spanning the control buffer
-//! (piggybacked acks) plus every unwritten ring frame, behind an adaptive
-//! cork that coalesces small same-pair bursts under one frame header.
-//! With pooling off both ends speak pure v2 — the wire-identical A/B
-//! baseline. Sentinel frames are shared by both versions:
+//! A data frame sets bit 31 of `len` ([`V3_FLAG`]); the low 31 bits are the
+//! body *byte length*, and the body is a sequence of typed items —
+//! [`V3_ITEM_PKT`] (one packed [`NetworkPacket`]) or [`V3_ITEM_RUN`]
+//! (`[dtype u8][4-byte packed header][nbytes u32 LE]` + densely packed
+//! payload). A data frame without the flag is stream corruption. Run
+//! payloads are appended with one `memcpy` at encode time and decoded into
+//! [`PayloadRun`] *views* of the pooled receive block, so each payload byte
+//! is copied exactly once per boundary crossing. Encode buffers come from a
+//! free list refilled on ack; sends go out as one `write_vectored` spanning
+//! every unwritten ring frame plus a side buffer of whole control frames
+//! (piggybacked acks), behind an adaptive cork that coalesces small
+//! same-pair bursts under one frame header. Side bytes only ever enter the
+//! stream at a frame boundary. Two `src_rank` sentinels reuse the header
+//! shape for control traffic:
 //!
-//! * [`HELLO_RANK`] — handshake frame (`npackets` = process index,
+//! * [`HELLO_RANK`] — handshake frame (`len` = process index,
 //!   `src_qsfp` bit 0 = resume flag, `seq` = session id, plus an 8-byte
 //!   body carrying the sender's last contiguously received seq).
 //! * [`ACK_RANK`] — cumulative ack (`seq` = highest contiguous seq
@@ -42,6 +40,15 @@
 //! frames are replayed. Receivers discard duplicate seqs, so recovery is
 //! exactly-once and in-order. Only a budget-exhausted reconnect (or
 //! [`crate::params::ReconnectPolicy::Fail`]) marks the peer dead.
+//!
+//! A connection with a [`FaultInjector`] runs the same flush with a
+//! per-frame filter: each ring frame consults the injector once, when it
+//! first reaches the write head, and is written, skipped (drop, delay) or
+//! followed by a whole-frame copy on the side buffer (duplicate, released
+//! delays); a sever shuts the stream once its frame is on the wire. Such a
+//! connection writes one ring frame per syscall so side frames land right
+//! after their trigger frame. A resume rewind makes replayed frames fresh
+//! emissions.
 //!
 //! All socket I/O is performed by a [`SocketPump`] — a [`Pollable`]
 //! registered with the same sharded executor that drives the CK machines.
@@ -70,10 +77,10 @@ use crate::transport::link::{LinkRecv, LinkRx, LinkSend, LinkTx, Transport, Tran
 use crate::transport::{meter_inline_data, Burst, CopyMeter, WireStats};
 
 /// Bytes of the per-burst frame header:
-/// `[src_rank u16 LE][src_qsfp u16 LE][npackets u32 LE][seq u64 LE]`.
+/// `[src_rank u16 LE][src_qsfp u16 LE][len u32 LE][seq u64 LE]`.
 pub(crate) const FRAME_HEADER_BYTES: usize = 16;
 
-/// `src_rank` sentinel marking a hello (handshake) frame; its `npackets`
+/// `src_rank` sentinel marking a hello (handshake) frame; its `len`
 /// field carries the sender's process index, `src_qsfp` carries flags
 /// (bit 0 = resume), `seq` carries the session id, and an 8-byte body
 /// carries the sender's last contiguously received data seq.
@@ -91,23 +98,13 @@ pub(crate) const HELLO_BYTES: usize = FRAME_HEADER_BYTES + 8;
 /// whole connection, resolved as soon as the slow CKR input drains.
 const INBOUND_QUEUE_CAP: usize = 1024;
 
-/// Sanity bound on `npackets` in one frame; our own sender never exceeds
-/// the burst size, so anything larger is stream corruption.
-const MAX_FRAME_PACKETS: usize = 4096;
-
-/// Bytes read from the socket per `read` call inside one poll.
+/// Least free space a receive block needs for the next `read`; a fuller
+/// block is rotated out.
 const READ_CHUNK: usize = 16 * 1024;
 
-/// Cap on buffered-but-unparsed inbound bytes before the pump stops
-/// reading (keeps a wedged receiver from buffering unboundedly).
-const READ_BUF_CAP: usize = 4 << 20;
-
-/// Cap on bytes staged for one write batch (ring frames copied per refill).
-const STAGE_CAP: usize = 256 * 1024;
-
-/// Cap on buffered control bytes (acks); past this the pump skips
-/// generating new acks until the writer drains (they are cumulative, so
-/// skipped acks are subsumed by the next one).
+/// Cap on buffered side bytes; past this the pump skips generating new
+/// acks until the writer drains (they are cumulative, so skipped acks are
+/// subsumed by the next one).
 const CTRL_CAP: usize = 64 * 1024;
 
 /// Read timeout of the blocking resume-hello exchange; a failed exchange
@@ -129,10 +126,9 @@ const RESUME_GRACE: Duration = Duration::from_millis(500);
 /// could only turn a slow-but-live link into a dead one.
 const ACK_PROBE_TIMEOUT: Duration = Duration::from_millis(400);
 
-/// Bit flag in the `npackets` header field marking a **v3** frame body:
-/// the low 31 bits then carry the body *byte length* (not a packet count)
-/// and the body is a sequence of typed items ([`V3_ITEM_PKT`] /
-/// [`V3_ITEM_RUN`]).
+/// Bit flag in the `len` header field that every data frame carries: the
+/// low 31 bits are the body *byte length*, and the body is a sequence of
+/// typed items ([`V3_ITEM_PKT`] / [`V3_ITEM_RUN`]).
 pub(crate) const V3_FLAG: u32 = 1 << 31;
 
 /// v3 item kind byte: one 32-byte packed packet follows.
@@ -183,11 +179,6 @@ const ENC_BUF_POOL_MAX: usize = FRAME_SPLIT_BYTES + 4096;
 
 /// Max `IoSlice`s per `write_vectored` call (comfortably under IOV_MAX).
 const MAX_IOV: usize = 64;
-
-/// Shrink `rbuf`'s capacity back to this once it has drained below it: a
-/// backpressure episode must not pin its high-water mark for the life of
-/// the connection (legacy read path; pooled blocks are fixed-size).
-const RBUF_SHRINK_CAP: usize = READ_CHUNK * 8;
 
 // ---------------------------------------------------------------------------
 // Fabric health
@@ -539,41 +530,6 @@ impl Redial {
 // Frame codec
 // ---------------------------------------------------------------------------
 
-/// Total wire packets a burst of frames stands for (runs count each packet
-/// they would materialize into).
-pub(crate) fn burst_packets(burst: &[Frame]) -> usize {
-    burst.iter().map(|f| f.packet_count()).sum()
-}
-
-/// Append one framed data burst (with its sequence number) to a
-/// serialization buffer. Run frames are materialized here — the process
-/// boundary is where the zero-copy plane genuinely has to touch every
-/// payload byte again.
-pub(crate) fn encode_frame_into(
-    out: &mut Vec<u8>,
-    src_rank: u16,
-    src_qsfp: u16,
-    seq: u64,
-    burst: &[Frame],
-) {
-    let npackets = burst_packets(burst);
-    out.reserve(FRAME_HEADER_BYTES + npackets * PACKET_BYTES);
-    out.extend_from_slice(&src_rank.to_le_bytes());
-    out.extend_from_slice(&src_qsfp.to_le_bytes());
-    out.extend_from_slice(&(npackets as u32).to_le_bytes());
-    out.extend_from_slice(&seq.to_le_bytes());
-    for f in burst {
-        match f {
-            Frame::Pkt(p) => out.extend_from_slice(&p.pack()),
-            Frame::Run(r) => {
-                for i in 0..r.packet_count() {
-                    out.extend_from_slice(&r.packet(i).pack());
-                }
-            }
-        }
-    }
-}
-
 /// Encoded v3 body size of one frame item.
 fn v3_item_bytes(f: &Frame) -> usize {
     match f {
@@ -605,8 +561,8 @@ fn encode_v3_item(out: &mut Vec<u8>, f: &Frame) {
     }
 }
 
-/// Append one framed **v3** data burst (header carries the body byte
-/// length under [`V3_FLAG`]). The receive side decodes run items back into
+/// Append one framed data burst (header carries the body byte length
+/// under [`V3_FLAG`]). The receive side decodes run items back into
 /// views of its pooled block, so runs cross the boundary with exactly one
 /// payload copy.
 pub(crate) fn encode_frame_v3_into(
@@ -630,7 +586,10 @@ pub(crate) fn encode_frame_v3_into(
 
 /// Decode the v3 frame body at `block[off..off + body]`. Run items become
 /// zero-copy [`PayloadRun`] views pinning `block`; packet items are
-/// unpacked inline.
+/// unpacked inline. Peer bytes are untrusted: a malformed item (truncated,
+/// unknown kind or dtype, an empty run, a run of partial elements, a run
+/// under a control op) is an error, which the pump treats as a connection
+/// fault.
 fn decode_v3_body(block: &Arc<[u8]>, mut off: usize, body: usize) -> Result<Burst, String> {
     let end = off + body;
     let mut burst: Burst = Vec::new();
@@ -667,6 +626,20 @@ fn decode_v3_body(block: &Arc<[u8]>, mut off: usize, body: usize) -> Result<Burs
                 off += V3_RUN_ITEM_HEADER - 1;
                 if end - off < nbytes {
                     return Err("truncated v3 run payload".into());
+                }
+                if nbytes == 0 {
+                    return Err("empty run item on wire".into());
+                }
+                if !nbytes.is_multiple_of(dtype.size_bytes()) {
+                    return Err(format!(
+                        "run item of {nbytes} bytes is not a whole number of {dtype:?} elements"
+                    ));
+                }
+                if !header.op.carries_data() {
+                    return Err(format!(
+                        "run item under {:?}, which carries no data",
+                        header.op
+                    ));
                 }
                 let payload = PayloadRun::from_shared(block.clone(), off, nbytes);
                 burst.push(Frame::Run(PacketRun {
@@ -851,17 +824,17 @@ type InQueue = Arc<Mutex<VecDeque<Burst>>>;
 
 /// The transmit source of truth: every offered burst is encoded once into
 /// this ring and stays there until the peer's cumulative ack covers it.
-/// `cursor` separates already-staged frames (`< cursor`) from frames still
-/// awaiting first transmission; a resume rewinds `cursor` to 0 so every
-/// surviving frame is retransmitted.
+/// `cursor` is the write head: frames before it are fully on the wire (or
+/// skipped by the fault filter), frames from it on still await
+/// transmission; a resume rewinds `cursor` to 0 so every surviving frame is
+/// retransmitted.
 struct ReplayRing {
     frames: VecDeque<(u64, Vec<u8>)>,
     bytes: usize,
     next_seq: u64,
     cursor: usize,
-    /// Bytes of `frames[cursor]` already on the wire — the vectored send
-    /// path writes straight from the ring and a partial write lands here.
-    /// The legacy staging path keeps it 0.
+    /// Bytes of `frames[cursor]` already on the wire — the flush writes
+    /// straight from the ring and a partial write lands here.
     wire_off: usize,
     budget: usize,
 }
@@ -914,10 +887,8 @@ struct ConnShared {
     peer: PeerInfo,
     copies: CopyMeter,
     wire: WireStats,
-    /// Pooled fast path on ([`crate::RuntimeParams::socket_pooling`]).
-    pooling: bool,
     /// Free list of recycled encode buffers: refilled by acks, drained by
-    /// `offer`. Only used when `pooling` is on.
+    /// `offer`.
     enc_pool: Mutex<Vec<Vec<u8>>>,
 }
 
@@ -934,7 +905,7 @@ impl ConnShared {
     /// Return encode buffers to the free list (bounded; oversized one-off
     /// buffers are dropped rather than hoarded).
     fn recycle(&self, bufs: Vec<Vec<u8>>) {
-        if !self.pooling || bufs.is_empty() {
+        if bufs.is_empty() {
             return;
         }
         let mut pool = self.enc_pool.lock().expect("enc pool lock");
@@ -950,14 +921,12 @@ impl ConnShared {
     /// An encode buffer with room for `need` bytes: recycled when the pool
     /// has one (hit), freshly allocated otherwise (miss).
     fn enc_buf(&self, need: usize) -> Vec<u8> {
-        if self.pooling {
-            if let Some(mut b) = self.enc_pool.lock().expect("enc pool lock").pop() {
-                self.wire.pool_hits.fetch_add(1, Ordering::Relaxed);
-                b.reserve(need);
-                return b;
-            }
-            self.wire.pool_misses.fetch_add(1, Ordering::Relaxed);
+        if let Some(mut b) = self.enc_pool.lock().expect("enc pool lock").pop() {
+            self.wire.pool_hits.fetch_add(1, Ordering::Relaxed);
+            b.reserve(need);
+            return b;
         }
+        self.wire.pool_misses.fetch_add(1, Ordering::Relaxed);
         Vec::with_capacity(need)
     }
 }
@@ -1007,16 +976,11 @@ pub(crate) struct ConnConfig {
     /// Wire-level counters (syscalls, bytes, pool and cork effectiveness;
     /// [`crate::transport::TransportStats::wire`]).
     pub wire: WireStats,
-    /// Pooled fast path ([`crate::RuntimeParams::socket_pooling`]): v3
-    /// frame bodies, recycled encode buffers, vectored writes, zero-copy
-    /// receive decode. Both ends of a connection must agree.
-    pub pooling: bool,
 }
 
 impl ConnConfig {
     /// A minimal config for unit tests over raw stream pairs: default
-    /// replay budget, no recovery, no faults, and pooling *off* — the v2
-    /// baseline whose raw bytes many tests assert on.
+    /// replay budget, no recovery, no faults.
     #[cfg(test)]
     pub fn basic(peer: PeerInfo, recv_keys: &[(usize, usize)]) -> ConnConfig {
         ConnConfig {
@@ -1030,7 +994,6 @@ impl ConnConfig {
             faults: None,
             copies: CopyMeter::default(),
             wire: WireStats::default(),
-            pooling: false,
         }
     }
 }
@@ -1059,7 +1022,6 @@ impl SocketConn {
             peer: cfg.peer.clone(),
             copies: cfg.copies.clone(),
             wire: cfg.wire.clone(),
-            pooling: cfg.pooling,
             enc_pool: Mutex::new(Vec::new()),
         });
         let queues: HashMap<(usize, usize), InQueue> = cfg
@@ -1087,15 +1049,12 @@ impl SocketConn {
             session: cfg.session,
             local_proc: cfg.local_proc,
             faults: cfg.faults,
-            pooling: cfg.pooling,
             phase: Phase::Streaming,
-            staged: Vec::new(),
-            staged_pos: 0,
             ctrl: Vec::new(),
             cork_defers: 0,
             cork_pending: 0,
+            head_fate: None,
             pending_sever: None,
-            rbuf: Vec::new(),
             rpos: 0,
             rblock: None,
             rfilled: 0,
@@ -1136,19 +1095,6 @@ struct SocketLinkTx {
     src_qsfp: u16,
 }
 
-impl Transport for SocketLinkTx {
-    fn offer(&mut self, burst: Burst) -> LinkSend {
-        if self.conn.closed.load(Ordering::Relaxed) {
-            return LinkSend::Closed;
-        }
-        if self.conn.pooling {
-            self.offer_pooled(burst)
-        } else {
-            self.offer_legacy(burst)
-        }
-    }
-}
-
 /// Charge the copy meter for serializing `burst` into a wire buffer: run
 /// payloads by exact byte length, inline data packets by packet (control
 /// packets carry no semantic payload).
@@ -1170,44 +1116,14 @@ fn meter_outbound(copies: &CopyMeter, burst: &[Frame]) {
     }
 }
 
-impl SocketLinkTx {
-    /// The v2 baseline: one frame per burst, freshly allocated, packets
-    /// materialized (runs copied packet by packet).
-    fn offer_legacy(&mut self, burst: Burst) -> LinkSend {
-        let need = FRAME_HEADER_BYTES + burst_packets(&burst) * PACKET_BYTES;
-        let mut ring = self.conn.ring.lock().expect("ring lock");
-        if need > ring.budget {
-            drop(ring);
-            return self.overflow(need);
+impl Transport for SocketLinkTx {
+    /// Encode into recycled buffers: small bursts cork-merged into the
+    /// newest untransmitted ring frame, large bursts split so every frame
+    /// fits one receive block.
+    fn offer(&mut self, burst: Burst) -> LinkSend {
+        if self.conn.closed.load(Ordering::Relaxed) {
+            return LinkSend::Closed;
         }
-        if ring.bytes + need > ring.budget {
-            // Ring full of unacked frames: ordinary backpressure.
-            return LinkSend::Full(burst);
-        }
-        let seq = ring.next_seq;
-        ring.next_seq += 1;
-        let mut bytes = Vec::with_capacity(need);
-        encode_frame_into(&mut bytes, self.src_rank, self.src_qsfp, seq, &burst);
-        ring.bytes += bytes.len();
-        ring.frames.push_back((seq, bytes));
-        drop(ring);
-        // Serialization stages every payload byte of data traffic into the
-        // ring; charge the copy meter for it.
-        let data_packets: usize = burst
-            .iter()
-            .filter(|f| f.header().op.carries_data())
-            .map(|f| f.packet_count())
-            .sum();
-        if data_packets > 0 {
-            self.conn.copies.add_packets(data_packets);
-        }
-        LinkSend::Accepted
-    }
-
-    /// The pooled fast path: v3 encoding into recycled buffers, small
-    /// bursts cork-merged into the newest untransmitted ring frame, large
-    /// bursts split so every frame fits one receive block.
-    fn offer_pooled(&mut self, burst: Burst) -> LinkSend {
         // Split oversized runs at packet-aligned element boundaries so no
         // single item (and thus no frame) outgrows FRAME_SPLIT_BYTES.
         let mut items: Vec<Frame> = Vec::with_capacity(burst.len());
@@ -1316,7 +1232,9 @@ impl SocketLinkTx {
         }
         LinkSend::Accepted
     }
+}
 
+impl SocketLinkTx {
     /// One frame can never fit the replay budget: recovery could never
     /// replay it, so this is a fatal configuration error, not backpressure.
     fn overflow(&self, need: usize) -> LinkSend {
@@ -1375,7 +1293,7 @@ enum Phase {
     },
 }
 
-/// The I/O duty cycle of one connection: a [`Pollable`] that stages unacked
+/// The I/O duty cycle of one connection: a [`Pollable`] that writes unacked
 /// frames from the replay ring onto the socket and reads/deframes inbound
 /// bytes into the per-link demux queues, generating cumulative acks. Never
 /// blocks in `Streaming`; a resume handshake performs bounded blocking I/O
@@ -1393,29 +1311,26 @@ pub(crate) struct SocketPump {
     session: u64,
     local_proc: usize,
     faults: Option<FaultInjector>,
-    /// Pooled fast path on (mirrors `ConnShared::pooling`).
-    pooling: bool,
     phase: Phase,
-    /// Bytes staged for writing (control bytes first, then ring frames);
-    /// legacy path and fault-injected sends only.
-    staged: Vec<u8>,
-    staged_pos: usize,
-    /// Pending control bytes (cumulative acks). The vectored path sends
-    /// them as the leading `IoSlice` of the same syscall as data frames.
+    /// Side buffer of whole frames outside the ring: cumulative acks and,
+    /// under fault injection, duplicate and released-delay copies. Written
+    /// in the same syscall as ring frames, but only at a frame boundary.
     ctrl: Vec<u8>,
     /// Polls the adaptive cork has deferred a pending vectored write.
     cork_defers: u32,
     /// Pending outbound bytes seen by the previous poll: the cork defers
     /// only while this grows (0 after a flush or a fault).
     cork_pending: usize,
-    /// An injected sever waiting for the staged bytes to drain.
+    /// Fault filter verdict ([`FaultAction::Pass`] or
+    /// [`FaultAction::Duplicate`]) for the ring frame at the write head,
+    /// taken when it first reaches the head and cleared once it is fully
+    /// written, so each emission consults the injector exactly once.
+    head_fate: Option<FaultAction>,
+    /// An injected sever waiting for the bytes before it to drain.
     pending_sever: Option<u64>,
-    /// Legacy read path: inbound bytes not yet parsed (`rpos` = parse
-    /// cursor, shared with the pooled path below).
-    rbuf: Vec<u8>,
+    /// Current receive block (`rpos..rfilled` = unparsed), block free
+    /// list, and blocks still pinned by run views.
     rpos: usize,
-    /// Pooled read path: current receive block (`rpos..rfilled` =
-    /// unparsed), block free list, and blocks still pinned by run views.
     rblock: Option<Arc<[u8]>>,
     rfilled: usize,
     rpool: Vec<Arc<[u8]>>,
@@ -1447,85 +1362,14 @@ impl SocketPump {
         self.done = true;
     }
 
-    /// Refill `staged` from the control buffer and the replay ring,
-    /// applying outbound fault injection per staged ring frame.
-    fn stage_out(&mut self) {
-        self.staged.clear();
-        self.staged_pos = 0;
-        if !self.ctrl.is_empty() {
-            self.staged.append(&mut self.ctrl);
-        }
-        if self.pending_sever.is_some() {
-            return;
-        }
-        let shared = self.shared.clone();
-        let mut ring = shared.ring.lock().expect("ring lock");
-        while ring.cursor < ring.frames.len() && self.staged.len() < STAGE_CAP {
-            let at = ring.cursor;
-            ring.cursor += 1;
-            let action = match self.faults.as_mut() {
-                Some(f) => f.on_emit(),
-                None => FaultAction::Pass,
-            };
-            match action {
-                FaultAction::Pass => self.staged.extend_from_slice(&ring.frames[at].1),
-                FaultAction::Drop => {}
-                FaultAction::Duplicate => {
-                    self.staged.extend_from_slice(&ring.frames[at].1);
-                    let dup = ring.frames[at].1.clone();
-                    self.staged.extend_from_slice(&dup);
-                }
-                FaultAction::Delay(by) => {
-                    let bytes = ring.frames[at].1.clone();
-                    self.faults.as_mut().expect("injector").hold(bytes, by);
-                }
-            }
-            if let Some(f) = self.faults.as_mut() {
-                for b in f.take_released() {
-                    self.staged.extend_from_slice(&b);
-                }
-                if let Some(n) = f.sever_due() {
-                    self.pending_sever = Some(n);
-                    break;
-                }
-            }
-        }
-    }
-
-    fn flush_out(&mut self, progressed: &mut bool) -> Result<(), String> {
-        if self.staged_pos == self.staged.len() {
-            self.stage_out();
-        }
-        while self.staged_pos < self.staged.len() {
-            match self.stream.write(&self.staged[self.staged_pos..]) {
-                Ok(0) => return Err("write returned 0 (connection closed)".into()),
-                Ok(n) => {
-                    self.staged_pos += n;
-                    self.shared.wire.add_send(n);
-                    *progressed = true;
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                // A peer that died mid-stream commonly surfaces as a write
-                // error (EPIPE/ECONNRESET) before the read side sees EOF.
-                Err(e) => return Err(format!("write failed: {e}")),
-            }
-        }
-        if self.staged_pos == self.staged.len() {
-            if let Some(n) = self.pending_sever.take() {
-                let _ = self.stream.shutdown();
-                return Err(format!("injected sever after frame {n}"));
-            }
-        }
-        Ok(())
-    }
-
-    /// Vectored send (pooled, fault-free connections): one
-    /// `write_vectored` spans the control buffer (piggybacked acks) plus
-    /// every unwritten ring frame, straight from the pooled encode buffers
-    /// — no staging copy, one syscall for many frames. The adaptive cork
-    /// defers a small write while the producer keeps adding to it, so
-    /// bursts coalesce; once a poll finds no new bytes, it writes.
+    /// Vectored send: one `write_vectored` spans every unwritten ring frame
+    /// straight from the pooled encode buffers, plus the side buffer — no
+    /// staging copy, one syscall for many frames. Side bytes enter the
+    /// stream only at a frame boundary: a partially written head frame is
+    /// finished first. The adaptive cork defers a small write while the
+    /// producer keeps adding to it, so bursts coalesce; once a poll finds
+    /// no new bytes, it writes. Under fault injection every ring frame
+    /// passes [`Self::filter_head`] and at most one goes per syscall.
     fn flush_vectored(&mut self, progressed: &mut bool) -> Result<(), String> {
         let shared = self.shared.clone();
         let mut ring = shared.ring.lock().expect("ring lock");
@@ -1552,20 +1396,38 @@ impl SocketPump {
         }
         self.cork_defers = 0;
         self.cork_pending = 0;
+        let faulty = self.faults.is_some();
         loop {
+            self.filter_head(&mut ring);
+            let partial = ring.wire_off > 0;
+            let with_ctrl = !(self.ctrl.is_empty() || (faulty && partial));
+            let ring_frames = if !faulty {
+                MAX_IOV
+            } else if self.head_fate.is_some() && !partial {
+                1
+            } else {
+                0
+            };
+            let mut frames = ring.frames.iter().skip(ring.cursor);
             let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(MAX_IOV);
-            if !self.ctrl.is_empty() {
+            if partial {
+                let head = &frames.next().expect("partially written head frame").1;
+                slices.push(IoSlice::new(&head[ring.wire_off..]));
+            }
+            if with_ctrl {
                 slices.push(IoSlice::new(&self.ctrl));
             }
-            let mut first = ring.wire_off;
-            for (_, buf) in ring.frames.iter().skip(ring.cursor) {
+            for (_, buf) in frames.take(ring_frames) {
                 if slices.len() >= MAX_IOV {
                     break;
                 }
-                slices.push(IoSlice::new(&buf[first..]));
-                first = 0;
+                slices.push(IoSlice::new(buf));
             }
             if slices.is_empty() {
+                if let Some(n) = self.pending_sever.take() {
+                    let _ = self.stream.shutdown();
+                    return Err(format!("injected sever after frame {n}"));
+                }
                 break;
             }
             match self.stream.write_vectored(&slices) {
@@ -1574,30 +1436,81 @@ impl SocketPump {
                     drop(slices);
                     shared.wire.add_send(n);
                     *progressed = true;
-                    // Consume ctrl first, then whole frames, then partial.
-                    let ctrl_take = n.min(self.ctrl.len());
-                    if ctrl_take > 0 {
-                        self.ctrl.drain(..ctrl_take);
-                        n -= ctrl_take;
+                    // Consume in iov order: head remainder, side bytes,
+                    // then whole frames and a possible partial one.
+                    if partial {
+                        n = self.advance_head(&mut ring, n);
+                    }
+                    if with_ctrl {
+                        let take = n.min(self.ctrl.len());
+                        self.ctrl.drain(..take);
+                        n -= take;
                     }
                     while n > 0 {
-                        let rem = ring.frames[ring.cursor].1.len() - ring.wire_off;
-                        if n >= rem {
-                            n -= rem;
-                            ring.cursor += 1;
-                            ring.wire_off = 0;
-                        } else {
-                            ring.wire_off += n;
-                            n = 0;
-                        }
+                        n = self.advance_head(&mut ring, n);
                     }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                // A peer that died mid-stream commonly surfaces as a write
+                // error (EPIPE/ECONNRESET) before the read side sees EOF.
                 Err(e) => return Err(format!("write failed: {e}")),
             }
         }
         Ok(())
+    }
+
+    /// Account `n` written bytes against the head frame; returns the bytes
+    /// left over once it is complete. A completed frame's fault-filter
+    /// side frames (its duplicate, released delays) follow it at once.
+    fn advance_head(&mut self, ring: &mut ReplayRing, n: usize) -> usize {
+        let rem = ring.frames[ring.cursor].1.len() - ring.wire_off;
+        if n < rem {
+            ring.wire_off += n;
+            return 0;
+        }
+        if let Some(fate) = self.head_fate.take() {
+            if fate == FaultAction::Duplicate {
+                self.ctrl.extend_from_slice(&ring.frames[ring.cursor].1);
+            }
+            let faults = self.faults.as_mut().expect("fault filter set the fate");
+            for bytes in faults.take_released() {
+                self.ctrl.extend_from_slice(&bytes);
+            }
+        }
+        ring.cursor += 1;
+        ring.wire_off = 0;
+        n - rem
+    }
+
+    /// Fault filter: consult the injector once for each ring frame that
+    /// reaches the write head, until the head holds a frame to write (or
+    /// the ring is drained, or a sever is due). Dropped and delayed frames
+    /// are skipped and stay in the ring for replay.
+    fn filter_head(&mut self, ring: &mut ReplayRing) {
+        let Some(faults) = self.faults.as_mut() else {
+            return;
+        };
+        while self.head_fate.is_none()
+            && self.pending_sever.is_none()
+            && ring.wire_off == 0
+            && ring.cursor < ring.frames.len()
+        {
+            match faults.on_emit() {
+                fate @ (FaultAction::Pass | FaultAction::Duplicate) => self.head_fate = Some(fate),
+                FaultAction::Drop => ring.cursor += 1,
+                FaultAction::Delay(by) => {
+                    faults.hold(ring.frames[ring.cursor].1.clone(), by);
+                    ring.cursor += 1;
+                }
+            }
+            self.pending_sever = faults.sever_due();
+            if self.head_fate.is_none() {
+                for bytes in faults.take_released() {
+                    self.ctrl.extend_from_slice(&bytes);
+                }
+            }
+        }
     }
 
     /// Move retired receive blocks whose last run view has been dropped
@@ -1653,7 +1566,7 @@ impl SocketPump {
         true
     }
 
-    /// Pooled read path: read straight into the current `Arc` block. A
+    /// Read straight into the current `Arc` receive block. A
     /// block stops being writable the moment a run view pins it
     /// (`Arc::get_mut` fails), so the pump rotates to a recycled block and
     /// parks the pinned one on the retired list until consumers drain it.
@@ -1688,10 +1601,10 @@ impl SocketPump {
         Ok(())
     }
 
-    /// Pooled deframe: parse frames out of the current receive block,
-    /// decoding v3 run items into zero-copy views of it (v2 frames — e.g.
-    /// from a duplicate-replay overlap — still decode as packet copies).
-    fn deframe_pooled(&mut self, progressed: &mut bool) -> Result<(), String> {
+    /// Parse frames out of the current receive block, decoding run items
+    /// into zero-copy views of it, and queue a cumulative ack for
+    /// everything newly delivered.
+    fn deframe(&mut self, progressed: &mut bool) -> Result<(), String> {
         let Some(block) = self.rblock.clone() else {
             return Ok(());
         };
@@ -1714,134 +1627,21 @@ impl SocketPump {
                 *progressed = true;
                 continue;
             }
-            let v3 = nfield & V3_FLAG != 0;
-            let body = if v3 {
-                let body = (nfield & !V3_FLAG) as usize;
-                if body > MAX_FRAME_BODY_BYTES {
-                    return Err(format!("corrupt frame: {body}-byte v3 body claimed"));
-                }
-                body
-            } else {
-                let npackets = nfield as usize;
-                if npackets > MAX_FRAME_PACKETS {
-                    return Err(format!("corrupt frame: {npackets} packets claimed"));
-                }
-                npackets * PACKET_BYTES
-            };
+            if nfield & V3_FLAG == 0 {
+                return Err(format!(
+                    "corrupt frame: data frame without the v3 flag (len field {nfield:#x})"
+                ));
+            }
+            let body = (nfield & !V3_FLAG) as usize;
+            if body > MAX_FRAME_BODY_BYTES {
+                return Err(format!("corrupt frame: {body}-byte body claimed"));
+            }
             let need = FRAME_HEADER_BYTES + body;
             if avail < need {
                 break;
             }
             if seq <= self.last_recv {
                 // Replay overlap or duplicate: already delivered, discard.
-                self.rpos += need;
-                *progressed = true;
-                continue;
-            }
-            if seq > self.last_recv + 1 {
-                return Err(format!(
-                    "sequence gap: expected {}, got {seq}",
-                    self.last_recv + 1
-                ));
-            }
-            let key = (src_rank as usize, src_qsfp as usize);
-            let Some(queue) = self.queues.get(&key) else {
-                return Err(format!(
-                    "frame from unknown endpoint (rank {src_rank}, qsfp {src_qsfp})"
-                ));
-            };
-            let mut q = queue.lock().expect("in queue lock");
-            if q.len() >= INBOUND_QUEUE_CAP {
-                break; // head-of-line backpressure
-            }
-            let burst = if v3 {
-                decode_v3_body(&block, self.rpos + FRAME_HEADER_BYTES, body)?
-            } else {
-                let npackets = body / PACKET_BYTES;
-                let mut burst: Burst = Vec::with_capacity(npackets);
-                let mut off = self.rpos + FRAME_HEADER_BYTES;
-                for _ in 0..npackets {
-                    let bytes: &[u8; PACKET_BYTES] = block[off..off + PACKET_BYTES]
-                        .try_into()
-                        .expect("packet slice");
-                    let pkt = NetworkPacket::unpack(bytes)
-                        .map_err(|e| format!("undecodable packet on wire: {e}"))?;
-                    burst.push(pkt.into());
-                    off += PACKET_BYTES;
-                }
-                burst
-            };
-            meter_inline_data(&self.shared.copies, &burst);
-            q.push_back(burst);
-            drop(q);
-            self.rpos += need;
-            self.last_recv = seq;
-            *progressed = true;
-        }
-        if self.last_recv > self.last_acked && self.ctrl.len() < CTRL_CAP {
-            encode_ack_into(&mut self.ctrl, self.last_recv);
-            self.last_acked = self.last_recv;
-        }
-        Ok(())
-    }
-
-    fn fill_rbuf(&mut self, progressed: &mut bool) -> Result<(), String> {
-        if self.eof {
-            return Ok(());
-        }
-        let mut chunk = [0u8; READ_CHUNK];
-        for _ in 0..4 {
-            if self.rbuf.len() - self.rpos > READ_BUF_CAP {
-                break;
-            }
-            match self.stream.read(&mut chunk) {
-                Ok(0) => {
-                    self.eof = true;
-                    break;
-                }
-                Ok(n) => {
-                    self.rbuf.extend_from_slice(&chunk[..n]);
-                    self.shared.wire.add_recv(n);
-                    *progressed = true;
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(format!("read failed: {e}")),
-            }
-        }
-        Ok(())
-    }
-
-    fn deframe(&mut self, progressed: &mut bool) -> Result<(), String> {
-        loop {
-            let avail = self.rbuf.len() - self.rpos;
-            if avail < FRAME_HEADER_BYTES {
-                break;
-            }
-            let hdr = &self.rbuf[self.rpos..self.rpos + FRAME_HEADER_BYTES];
-            let src_rank = u16::from_le_bytes(hdr[..2].try_into().expect("2 bytes"));
-            let src_qsfp = u16::from_le_bytes(hdr[2..4].try_into().expect("2 bytes"));
-            let npackets = u32::from_le_bytes(hdr[4..8].try_into().expect("4 bytes")) as usize;
-            let seq = u64::from_le_bytes(hdr[8..16].try_into().expect("8 bytes"));
-            if src_rank == HELLO_RANK {
-                return Err("unexpected hello frame mid-stream".into());
-            }
-            if src_rank == ACK_RANK {
-                self.rpos += FRAME_HEADER_BYTES;
-                self.shared.apply_ack(seq);
-                *progressed = true;
-                continue;
-            }
-            if npackets > MAX_FRAME_PACKETS {
-                return Err(format!("corrupt frame: {npackets} packets claimed"));
-            }
-            let need = FRAME_HEADER_BYTES + npackets * PACKET_BYTES;
-            if avail < need {
-                break;
-            }
-            if seq <= self.last_recv {
-                // Replay overlap or an injected duplicate: already
-                // delivered, discard.
                 self.rpos += need;
                 *progressed = true;
                 continue;
@@ -1867,17 +1667,7 @@ impl SocketPump {
                 // CKR input drains its queue.
                 break;
             }
-            let mut burst: Burst = Vec::with_capacity(npackets);
-            let mut off = self.rpos + FRAME_HEADER_BYTES;
-            for _ in 0..npackets {
-                let bytes: &[u8; PACKET_BYTES] = self.rbuf[off..off + PACKET_BYTES]
-                    .try_into()
-                    .expect("packet slice");
-                let pkt = NetworkPacket::unpack(bytes)
-                    .map_err(|e| format!("undecodable packet on wire: {e}"))?;
-                burst.push(pkt.into());
-                off += PACKET_BYTES;
-            }
+            let burst = decode_v3_body(&block, self.rpos + FRAME_HEADER_BYTES, body)?;
             meter_inline_data(&self.shared.copies, &burst);
             q.push_back(burst);
             drop(q);
@@ -1885,19 +1675,8 @@ impl SocketPump {
             self.last_recv = seq;
             *progressed = true;
         }
-        if self.rpos > 0 && (self.rpos == self.rbuf.len() || self.rpos >= READ_CHUNK * 4) {
-            self.rbuf.drain(..self.rpos);
-            self.rpos = 0;
-            // A backpressure episode can balloon the buffer toward
-            // READ_BUF_CAP; once drained back to steady state, release the
-            // high-water capacity so long-lived connections don't pin it.
-            if self.rbuf.capacity() > RBUF_SHRINK_CAP && self.rbuf.len() <= READ_CHUNK {
-                self.rbuf.shrink_to(RBUF_SHRINK_CAP);
-            }
-        }
-        // Cumulative ack for everything newly delivered; skipped when the
-        // control buffer is backed up (acks are cumulative, the next one
-        // covers this one).
+        // Skipped when the side buffer is backed up (acks are cumulative,
+        // the next one covers this one).
         if self.last_recv > self.last_acked && self.ctrl.len() < CTRL_CAP {
             encode_ack_into(&mut self.ctrl, self.last_recv);
             self.last_acked = self.last_recv;
@@ -1908,14 +1687,11 @@ impl SocketPump {
     /// After EOF: remaining unparsed bytes are either complete frames
     /// blocked on a full queue (keep polling) or a truncated tail.
     fn eof_verdict(&self) -> Option<String> {
-        let (buf, avail): (&[u8], usize) = if self.pooling {
-            match self.rblock.as_ref() {
-                Some(b) => (&b[self.rpos..self.rfilled], self.rfilled - self.rpos),
-                None => (&[], 0),
-            }
-        } else {
-            (&self.rbuf[self.rpos..], self.rbuf.len() - self.rpos)
+        let buf: &[u8] = match self.rblock.as_ref() {
+            Some(b) => &b[self.rpos..self.rfilled],
+            None => &[],
         };
+        let avail = buf.len();
         if avail == 0 {
             return Some("connection closed by peer (EOF)".into());
         }
@@ -1927,10 +1703,8 @@ impl SocketPump {
         let nfield = u32::from_le_bytes(hdr[4..8].try_into().expect("4 bytes"));
         let body = if src_rank == ACK_RANK {
             0
-        } else if nfield & V3_FLAG != 0 {
-            ((nfield & !V3_FLAG) as usize).min(MAX_FRAME_BODY_BYTES)
         } else {
-            (nfield as usize).min(MAX_FRAME_PACKETS) * PACKET_BYTES
+            ((nfield & !V3_FLAG) as usize).min(MAX_FRAME_BODY_BYTES)
         };
         if avail < FRAME_HEADER_BYTES + body {
             return Some(format!("link cut mid-frame ({avail} trailing bytes)"));
@@ -1947,13 +1721,11 @@ impl SocketPump {
     /// (no recovery) or enter `Reconnecting`.
     fn on_fault(&mut self, detail: String) -> Step {
         let _ = self.stream.shutdown();
-        self.staged.clear();
-        self.staged_pos = 0;
         self.ctrl.clear();
+        self.head_fate = None;
         self.pending_sever = None;
         self.cork_defers = 0;
         self.cork_pending = 0;
-        self.rbuf.clear();
         self.rpos = 0;
         self.rfilled = 0;
         self.eof = false;
@@ -2104,29 +1876,10 @@ impl SocketPump {
             return self.on_fault("peer initiated mid-stream resume".into());
         }
         let mut progressed = false;
-        // Fault injection needs per-frame custody of outbound bytes, so the
-        // injected-fault seam keeps the staged path even when pooling is on
-        // (v3 frames travel through it as opaque byte buffers).
-        let use_vectored = self.pooling && self.faults.is_none();
-        let r = if use_vectored {
-            self.flush_vectored(&mut progressed)
-        } else {
-            self.flush_out(&mut progressed)
-        }
-        .and_then(|()| {
-            if self.pooling {
-                self.fill_rblock(&mut progressed)
-            } else {
-                self.fill_rbuf(&mut progressed)
-            }
-        })
-        .and_then(|()| {
-            if self.pooling {
-                self.deframe_pooled(&mut progressed)
-            } else {
-                self.deframe(&mut progressed)
-            }
-        });
+        let r = self
+            .flush_vectored(&mut progressed)
+            .and_then(|()| self.fill_rblock(&mut progressed))
+            .and_then(|()| self.deframe(&mut progressed));
         if let Err(detail) = r {
             return self.on_fault(detail);
         }
@@ -2154,10 +1907,10 @@ impl SocketPump {
     fn probe_ack_progress(&mut self) -> Option<String> {
         let oldest = {
             let ring = self.shared.ring.lock().expect("ring lock");
-            // `cursor > 0` means the front frame has been staged for the
-            // wire (or handed to the fault injector); `wire_off > 0` means
-            // the vectored path has partially written it — only then can
-            // the peer be expected to ack it (or be known stalled).
+            // `cursor > 0` means the front frame is on the wire (or was
+            // skipped by the fault filter); `wire_off > 0` means it is
+            // partially written — only then can the peer be expected to ack
+            // it (or be known stalled).
             if ring.cursor > 0 || ring.wire_off > 0 {
                 ring.frames.front().map(|(seq, _)| *seq)
             } else {
@@ -2341,13 +2094,25 @@ mod tests {
         p
     }
 
-    /// The tag byte of a frame delivered by the socket plane (always an
-    /// inline packet: decode never produces runs).
+    /// The tag byte of a frame offered and delivered as an inline packet.
     fn tag(f: &Frame) -> u8 {
         match f {
             Frame::Pkt(p) => p.payload[0],
             Frame::Run(_) => panic!("socket decode must emit inline packets"),
         }
+    }
+
+    /// Read one data frame off a raw stream: its seq and decoded burst.
+    fn read_data_frame(s: &mut SocketStream) -> (u64, Burst) {
+        let mut hdr = [0u8; FRAME_HEADER_BYTES];
+        s.read_exact(&mut hdr).unwrap();
+        let nfield = u32::from_le_bytes(hdr[4..8].try_into().unwrap());
+        assert_ne!(nfield & V3_FLAG, 0, "data frames carry the v3 flag");
+        let body = (nfield & !V3_FLAG) as usize;
+        let mut block = vec![0u8; body];
+        s.read_exact(&mut block).unwrap();
+        let seq = u64::from_le_bytes(hdr[8..16].try_into().unwrap());
+        (seq, decode_v3_body(&block.into(), 0, body).unwrap())
     }
 
     fn peer(backend: &'static str) -> PeerInfo {
@@ -2386,40 +2151,27 @@ mod tests {
         assert_ne!(a, b);
     }
 
+    /// Wire bytes of a one-packet data frame.
+    const PKT_FRAME_BYTES: usize = FRAME_HEADER_BYTES + 1 + PACKET_BYTES;
+
     #[test]
     fn frame_encode_shape() {
         let mut out = Vec::new();
-        encode_frame_into(&mut out, 5, 2, 77, &[pkt(1, 9).into(), pkt(1, 10).into()]);
-        assert_eq!(out.len(), FRAME_HEADER_BYTES + 2 * PACKET_BYTES);
+        encode_frame_v3_into(&mut out, 5, 2, 77, &[pkt(1, 9).into(), pkt(1, 10).into()]);
+        let body = 2 * (1 + PACKET_BYTES);
+        assert_eq!(out.len(), FRAME_HEADER_BYTES + body);
         assert_eq!(u16::from_le_bytes(out[..2].try_into().unwrap()), 5);
         assert_eq!(u16::from_le_bytes(out[2..4].try_into().unwrap()), 2);
-        assert_eq!(u32::from_le_bytes(out[4..8].try_into().unwrap()), 2);
+        assert_eq!(
+            u32::from_le_bytes(out[4..8].try_into().unwrap()),
+            V3_FLAG | body as u32
+        );
         assert_eq!(u64::from_le_bytes(out[8..16].try_into().unwrap()), 77);
         let mut ack = Vec::new();
         encode_ack_into(&mut ack, 123);
         assert_eq!(ack.len(), FRAME_HEADER_BYTES);
         assert_eq!(u16::from_le_bytes(ack[..2].try_into().unwrap()), ACK_RANK);
         assert_eq!(u64::from_le_bytes(ack[8..16].try_into().unwrap()), 123);
-    }
-
-    #[test]
-    fn run_frames_materialize_into_wire_packets() {
-        use smi_wire::PacketRun;
-        let elems: Vec<u8> = (0..60).collect();
-        let frame = Frame::Run(PacketRun::from_elems(0, 1, 0, PacketOp::Send, &elems));
-        assert_eq!(frame.packet_count(), 3); // 28 + 28 + 4
-        let mut out = Vec::new();
-        encode_frame_into(&mut out, 3, 1, 9, &[frame]);
-        assert_eq!(out.len(), FRAME_HEADER_BYTES + 3 * PACKET_BYTES);
-        assert_eq!(u32::from_le_bytes(out[4..8].try_into().unwrap()), 3);
-        let mut got = Vec::new();
-        for i in 0..3 {
-            let off = FRAME_HEADER_BYTES + i * PACKET_BYTES;
-            let p = NetworkPacket::unpack(out[off..off + PACKET_BYTES].try_into().unwrap())
-                .expect("valid packet");
-            got.extend_from_slice(p.valid_payload(smi_wire::Datatype::Char));
-        }
-        assert_eq!(got, elems);
     }
 
     #[test]
@@ -2469,9 +2221,11 @@ mod tests {
         .unwrap();
         let mut tx = conn_a.tx(0, 0);
         let mut rx = conn_b.rx((0, 0));
+        // Runs too large for the cork to merge: one ring frame each.
         for i in 0..20u8 {
+            let run = PacketRun::from_elems(0, 1, 0, PacketOp::Send, &[i; CORK_MERGE_CAP]);
             assert!(matches!(
-                tx.offer(vec![pkt(1, i).into()]),
+                tx.offer(vec![Frame::Run(run)]),
                 LinkSend::Accepted
             ));
         }
@@ -2511,9 +2265,9 @@ mod tests {
         )
         .unwrap();
         let mut bytes = Vec::new();
-        encode_frame_into(&mut bytes, 0, 0, 1, &[pkt(1, 10).into()]);
-        encode_frame_into(&mut bytes, 0, 0, 1, &[pkt(1, 10).into()]);
-        encode_frame_into(&mut bytes, 0, 0, 2, &[pkt(1, 11).into()]);
+        encode_frame_v3_into(&mut bytes, 0, 0, 1, &[pkt(1, 10).into()]);
+        encode_frame_v3_into(&mut bytes, 0, 0, 1, &[pkt(1, 10).into()]);
+        encode_frame_v3_into(&mut bytes, 0, 0, 2, &[pkt(1, 11).into()]);
         raw.write_all(&bytes).unwrap();
         raw.flush().unwrap();
         let mut rx = conn_b.rx((0, 0));
@@ -2530,7 +2284,7 @@ mod tests {
         assert_eq!(seen, vec![10, 11]);
         assert!(health.peer_down().is_none());
         // The ack the receiver generated must be cumulative to seq 2. Keep
-        // polling the pump while reading: the ack is staged at delivery but
+        // polling the pump while reading: the ack is queued at delivery but
         // only flushed to the socket by later polls.
         raw.set_read_timeout(Some(Duration::from_millis(5)))
             .unwrap();
@@ -2573,8 +2327,8 @@ mod tests {
         )
         .unwrap();
         let mut bytes = Vec::new();
-        encode_frame_into(&mut bytes, 0, 0, 1, &[pkt(1, 1).into()]);
-        encode_frame_into(&mut bytes, 0, 0, 3, &[pkt(1, 3).into()]);
+        encode_frame_v3_into(&mut bytes, 0, 0, 1, &[pkt(1, 1).into()]);
+        encode_frame_v3_into(&mut bytes, 0, 0, 3, &[pkt(1, 3).into()]);
         raw.write_all(&bytes).unwrap();
         raw.flush().unwrap();
         let mut rx = conn_b.rx((0, 0));
@@ -2655,7 +2409,7 @@ mod tests {
         let (sa, _sb) = pair();
         let health = FabricHealth::default();
         let mut cfg = ConnConfig::basic(peer("uds"), &[]);
-        cfg.replay_budget = FRAME_HEADER_BYTES + PACKET_BYTES; // one packet max
+        cfg.replay_budget = PKT_FRAME_BYTES; // one packet max
         let (conn_a, _pump_a) = SocketConn::new(sa, cfg, health.clone()).unwrap();
         let mut tx = conn_a.tx(0, 0);
         // A two-packet frame can never fit: typed fatal error, not Full.
@@ -2663,8 +2417,8 @@ mod tests {
         assert!(matches!(tx.offer(burst), LinkSend::Closed));
         match health.error() {
             Some(SmiError::ReplayOverflow { needed, budget }) => {
-                assert_eq!(needed, FRAME_HEADER_BYTES + 2 * PACKET_BYTES);
-                assert_eq!(budget, FRAME_HEADER_BYTES + PACKET_BYTES);
+                assert_eq!(needed, PKT_FRAME_BYTES + 1 + PACKET_BYTES);
+                assert_eq!(budget, PKT_FRAME_BYTES);
             }
             other => panic!("expected ReplayOverflow, got {other:?}"),
         }
@@ -2675,7 +2429,7 @@ mod tests {
         let (sa, _sb) = pair();
         let health = FabricHealth::default();
         let mut cfg = ConnConfig::basic(peer("uds"), &[]);
-        cfg.replay_budget = 2 * (FRAME_HEADER_BYTES + PACKET_BYTES);
+        cfg.replay_budget = 2 * PKT_FRAME_BYTES;
         let (conn_a, _pump_a) = SocketConn::new(sa, cfg, health.clone()).unwrap();
         let mut tx = conn_a.tx(0, 0);
         assert!(matches!(
@@ -2778,7 +2532,6 @@ mod tests {
             faults: None,
             copies: CopyMeter::default(),
             wire: WireStats::default(),
-            pooling: false,
         };
         let (conn_a, mut pump_a) = SocketConn::new(sa, cfg, health.clone()).unwrap();
         let mut tx = conn_a.tx(0, 0);
@@ -2810,22 +2563,13 @@ mod tests {
                 last_recv: 0, // got nothing: replay everything
             };
             send_hello(&mut s, &reply).unwrap();
-            let need = 10 * (FRAME_HEADER_BYTES + PACKET_BYTES);
-            let mut buf = vec![0u8; need];
-            s.read_exact(&mut buf).unwrap();
             let mut tags = Vec::new();
-            for f in 0..10 {
-                let off = f * (FRAME_HEADER_BYTES + PACKET_BYTES);
-                let seq = u64::from_le_bytes(buf[off + 8..off + 16].try_into().expect("8 bytes"));
-                assert_eq!(seq, f as u64 + 1, "replayed in order");
-                let body = off + FRAME_HEADER_BYTES;
-                let p = NetworkPacket::unpack(
-                    buf[body..body + PACKET_BYTES]
-                        .try_into()
-                        .expect("one packet"),
-                )
-                .expect("valid packet");
-                tags.push(p.payload[0]);
+            let mut want_seq = 1;
+            while tags.len() < 10 {
+                let (seq, burst) = read_data_frame(&mut s);
+                assert_eq!(seq, want_seq, "replayed in order");
+                want_seq += 1;
+                tags.extend(burst.iter().map(tag));
             }
             // Hand the stream back so it outlives the assertions: dropping
             // it here would look like a second mid-stream fault.
@@ -2876,7 +2620,6 @@ mod tests {
             faults: None,
             copies: CopyMeter::default(),
             wire: WireStats::default(),
-            pooling: false,
         };
         let (conn_a, mut pump_a) = SocketConn::new(sa, cfg, health.clone()).unwrap();
         let mut tx = conn_a.tx(0, 0);
@@ -2906,13 +2649,6 @@ mod tests {
             pd.detail
         );
         assert_eq!(health.error(), Some(SmiError::PeerDisconnected { rank: 1 }));
-    }
-
-    /// `basic()` with pooling switched on: the v3 fast path under test.
-    fn pooled_cfg(peer: PeerInfo, recv_keys: &[(usize, usize)]) -> ConnConfig {
-        let mut cfg = ConnConfig::basic(peer, recv_keys);
-        cfg.pooling = true;
-        cfg
     }
 
     #[test]
@@ -2956,16 +2692,20 @@ mod tests {
     }
 
     #[test]
-    fn pooled_conn_delivers_runs_as_views() {
+    fn conn_delivers_runs_as_views() {
         use smi_wire::PacketRun;
         let (sa, sb) = pair();
         let health = FabricHealth::default();
         let wire = WireStats::default();
-        let mut cfg_a = pooled_cfg(peer("uds"), &[]);
+        let mut cfg_a = ConnConfig::basic(peer("uds"), &[]);
         cfg_a.wire = wire.clone();
         let (conn_a, mut pump_a) = SocketConn::new(sa, cfg_a, health.clone()).unwrap();
-        let (conn_b, mut pump_b) =
-            SocketConn::new(sb, pooled_cfg(peer("uds"), &[(0, 0)]), health.clone()).unwrap();
+        let (conn_b, mut pump_b) = SocketConn::new(
+            sb,
+            ConnConfig::basic(peer("uds"), &[(0, 0)]),
+            health.clone(),
+        )
+        .unwrap();
         let mut tx = conn_a.tx(0, 0);
         let mut rx = conn_b.rx((0, 0));
         let elems: Vec<u8> = (0..100).map(|i| i as u8).collect();
@@ -2987,7 +2727,7 @@ mod tests {
                 for f in &b {
                     match f {
                         Frame::Run(r) => got.extend_from_slice(r.payload.as_slice()),
-                        Frame::Pkt(_) => panic!("pooled decode must deliver runs"),
+                        Frame::Pkt(_) => panic!("run payloads must arrive as runs"),
                     }
                 }
             }
@@ -3002,23 +2742,22 @@ mod tests {
         assert!(health.peer_down().is_none());
     }
 
-    /// A pooled sender/receiver pair sharing one set of wire counters on
-    /// the send side.
-    fn pooled_pair() -> (SocketConn, SocketPump, SocketConn, SocketPump, WireStats) {
+    /// A sender/receiver pair with the send side's wire counters exposed.
+    fn conn_pair() -> (SocketConn, SocketPump, SocketConn, SocketPump, WireStats) {
         let (sa, sb) = pair();
         let health = FabricHealth::default();
         let wire = WireStats::default();
-        let mut cfg_a = pooled_cfg(peer("uds"), &[]);
+        let mut cfg_a = ConnConfig::basic(peer("uds"), &[]);
         cfg_a.wire = wire.clone();
         let (conn_a, pump_a) = SocketConn::new(sa, cfg_a, health.clone()).unwrap();
         let (conn_b, pump_b) =
-            SocketConn::new(sb, pooled_cfg(peer("uds"), &[(0, 0)]), health).unwrap();
+            SocketConn::new(sb, ConnConfig::basic(peer("uds"), &[(0, 0)]), health).unwrap();
         (conn_a, pump_a, conn_b, pump_b, wire)
     }
 
     #[test]
     fn cork_merges_small_bursts_into_one_frame() {
-        let (conn_a, mut pump_a, conn_b, mut pump_b, wire) = pooled_pair();
+        let (conn_a, mut pump_a, conn_b, mut pump_b, wire) = conn_pair();
         let mut tx = conn_a.tx(0, 0);
         let mut rx = conn_b.rx((0, 0));
         // 16 one-packet offers before the pump ever runs: everything after
@@ -3055,7 +2794,7 @@ mod tests {
 
     #[test]
     fn cork_writes_a_quiet_producer_on_the_next_poll() {
-        let (conn_a, mut pump_a, _conn_b, _pump_b, wire) = pooled_pair();
+        let (conn_a, mut pump_a, _conn_b, _pump_b, wire) = conn_pair();
         let mut tx = conn_a.tx(0, 0);
         assert!(matches!(
             tx.offer(vec![pkt(1, 9).into()]),
@@ -3075,7 +2814,7 @@ mod tests {
 
     #[test]
     fn cork_still_coalesces_a_streaming_producer() {
-        let (conn_a, mut pump_a, conn_b, mut pump_b, wire) = pooled_pair();
+        let (conn_a, mut pump_a, conn_b, mut pump_b, wire) = conn_pair();
         let mut tx = conn_a.tx(0, 0);
         let mut rx = conn_b.rx((0, 0));
         let offers = 16u8;
@@ -3111,9 +2850,13 @@ mod tests {
         let (sa, sb) = pair();
         let health = FabricHealth::default();
         let (conn_a, mut pump_a) =
-            SocketConn::new(sa, pooled_cfg(peer("uds"), &[]), health.clone()).unwrap();
-        let (conn_b, mut pump_b) =
-            SocketConn::new(sb, pooled_cfg(peer("uds"), &[(0, 0)]), health.clone()).unwrap();
+            SocketConn::new(sa, ConnConfig::basic(peer("uds"), &[]), health.clone()).unwrap();
+        let (conn_b, mut pump_b) = SocketConn::new(
+            sb,
+            ConnConfig::basic(peer("uds"), &[(0, 0)]),
+            health.clone(),
+        )
+        .unwrap();
         let mut tx = conn_a.tx(0, 0);
         let mut rx = conn_b.rx((0, 0));
         let elems: Vec<u8> = (0..150_000).map(|i| (i * 31) as u8).collect();
@@ -3144,7 +2887,7 @@ mod tests {
                     packets += f.packet_count();
                     match f {
                         Frame::Run(r) => got.extend_from_slice(r.payload.as_slice()),
-                        Frame::Pkt(_) => panic!("pooled decode must deliver runs"),
+                        Frame::Pkt(_) => panic!("run payloads must arrive as runs"),
                     }
                 }
             }
@@ -3159,43 +2902,177 @@ mod tests {
         );
     }
 
+    /// Regression: a pending ack must never enter the stream inside a
+    /// partially written frame. A fills the socket mid-frame with a large
+    /// run, B's packet makes A queue an ack, and A's next write must finish
+    /// the frame before the ack goes out. Splicing the ack in corrupted
+    /// the run silently: the receiver had already counted the frame.
     #[test]
-    fn legacy_rbuf_capacity_shrinks_after_drain() {
+    fn acks_never_split_a_partially_written_frame() {
         let (sa, sb) = pair();
         let health = FabricHealth::default();
-        let (conn_a, mut pump_a) =
-            SocketConn::new(sa, ConnConfig::basic(peer("uds"), &[]), health.clone()).unwrap();
+        let (conn_a, mut pump_a) = SocketConn::new(
+            sa,
+            ConnConfig::basic(peer("uds"), &[(1, 0)]),
+            health.clone(),
+        )
+        .unwrap();
         let (conn_b, mut pump_b) = SocketConn::new(
             sb,
             ConnConfig::basic(peer("uds"), &[(0, 0)]),
             health.clone(),
         )
         .unwrap();
-        // Simulate a past backpressure episode ballooning the read buffer.
-        pump_b.rbuf.reserve(RBUF_SHRINK_CAP * 4);
-        assert!(pump_b.rbuf.capacity() > RBUF_SHRINK_CAP);
-        let mut tx = conn_a.tx(0, 0);
-        let mut rx = conn_b.rx((0, 0));
+        let elems: Vec<u8> = (0..1_000_000u32).map(|i| (i * 7 + i / 251) as u8).collect();
+        let run = PacketRun::from_elems(0, 1, 0, PacketOp::Send, &elems);
         assert!(matches!(
-            tx.offer(vec![pkt(1, 1).into()]),
+            conn_a.tx(0, 0).offer(vec![Frame::Run(run)]),
             LinkSend::Accepted
         ));
-        let mut seen = 0;
-        for _ in 0..100_000 {
+        assert!(matches!(
+            conn_b.tx(1, 0).offer(vec![pkt(0, 5).into()]),
+            LinkSend::Accepted
+        ));
+        // B's packet goes out first (the cork holds it for one poll).
+        pump_b.poll();
+        pump_b.poll();
+        // A writes until the socket is full, reads B's packet and queues an
+        // ack; B has not read yet, so A's head frame stays half written.
+        for _ in 0..4 {
             pump_a.poll();
+        }
+        assert!(
+            conn_a.shared.ring.lock().unwrap().wire_off > 0 && !pump_a.ctrl.is_empty(),
+            "precondition: an ack is pending while a frame is partially written"
+        );
+        let (mut rx_a, mut rx_b) = (conn_a.rx((1, 0)), conn_b.rx((0, 0)));
+        let mut got: Vec<u8> = Vec::new();
+        let mut back = Vec::new();
+        for _ in 0..100_000 {
             pump_b.poll();
-            while let LinkRecv::Burst(b) = rx.try_recv() {
-                seen += b.len();
+            pump_a.poll();
+            while let LinkRecv::Burst(b) = rx_b.try_recv() {
+                for f in &b {
+                    match f {
+                        Frame::Run(r) => got.extend_from_slice(r.payload.as_slice()),
+                        Frame::Pkt(_) => panic!("run payloads must arrive as runs"),
+                    }
+                }
             }
-            if seen == 1 {
+            while let LinkRecv::Burst(b) = rx_a.try_recv() {
+                back.extend(b.iter().map(tag));
+            }
+            if health.peer_down().is_some() || (got.len() == elems.len() && back.len() == 1) {
                 break;
             }
         }
-        assert_eq!(seen, 1);
-        assert!(
-            pump_b.rbuf.capacity() <= RBUF_SHRINK_CAP,
-            "high-water capacity released, got {}",
-            pump_b.rbuf.capacity()
+        assert!(health.peer_down().is_none(), "{:?}", health.peer_down());
+        assert_eq!(back, vec![5]);
+        assert_eq!(got.len(), elems.len());
+        let first_bad = got.iter().zip(&elems).position(|(a, b)| a != b);
+        assert_eq!(
+            first_bad, None,
+            "payload corrupted from byte {first_bad:?} on"
         );
+    }
+
+    /// Encode a single-run frame body by hand (bypassing the encoder's
+    /// invariants) and decode it.
+    fn decode_hand_run(op: PacketOp, dtype: Datatype, payload: &[u8]) -> Result<Burst, String> {
+        let mut body = vec![V3_ITEM_RUN];
+        body.push(Datatype::ALL.iter().position(|d| *d == dtype).unwrap() as u8);
+        body.extend_from_slice(&NetworkPacket::new(0, 1, 0, op).header.pack());
+        body.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        body.extend_from_slice(payload);
+        let len = body.len();
+        decode_v3_body(&body.into(), 0, len)
+    }
+
+    #[test]
+    fn decoder_rejects_an_empty_run() {
+        let err = decode_hand_run(PacketOp::Send, Datatype::Int, &[]).unwrap_err();
+        assert!(err.contains("empty run"), "{err}");
+    }
+
+    #[test]
+    fn decoder_rejects_a_run_of_partial_elements() {
+        let err = decode_hand_run(PacketOp::Send, Datatype::Int, &[7; 6]).unwrap_err();
+        assert!(err.contains("whole number"), "{err}");
+    }
+
+    #[test]
+    fn decoder_rejects_a_run_under_a_control_op() {
+        let err = decode_hand_run(PacketOp::Credit, Datatype::Int, &[7; 8]).unwrap_err();
+        assert!(err.contains("carries no data"), "{err}");
+    }
+
+    #[test]
+    fn data_frame_without_v3_flag_is_a_corrupt_frame() {
+        let (mut raw, sb) = pair();
+        let health = FabricHealth::default();
+        let (conn_b, mut pump_b) = SocketConn::new(
+            sb,
+            ConnConfig::basic(peer("uds"), &[(0, 0)]),
+            health.clone(),
+        )
+        .unwrap();
+        let mut bytes = Vec::new();
+        encode_frame_v3_into(&mut bytes, 0, 0, 1, &[pkt(1, 1).into()]);
+        bytes[7] &= 0x7f; // clear V3_FLAG: the old packet-count header shape
+        raw.write_all(&bytes).unwrap();
+        let mut rx = conn_b.rx((0, 0));
+        for _ in 0..100_000 {
+            pump_b.poll();
+            if matches!(rx.try_recv(), LinkRecv::Closed) {
+                break;
+            }
+        }
+        let pd = health.peer_down().expect("marked down");
+        assert!(pd.detail.contains("corrupt frame"), "detail: {}", pd.detail);
+    }
+
+    /// The fault filter on the vectored flush reproduces the schedule's
+    /// byte order: a duplicate right after its original, a released delay
+    /// right after its trigger frame, and a sever once its frame is out.
+    #[test]
+    fn fault_filter_orders_side_frames_and_severs() {
+        use crate::transport::faults::{DelaySpec, FaultPlan, LinkFault, SeverSpec};
+        let (sa, mut raw) = pair();
+        let health = FabricHealth::default();
+        let mut cfg = ConnConfig::basic(peer("uds"), &[]);
+        cfg.faults = FaultPlan {
+            links: vec![LinkFault {
+                drop: vec![6],
+                duplicate: vec![2],
+                delay: vec![DelaySpec { frame: 3, by: 1 }],
+                sever: vec![SeverSpec { after_frame: 5 }],
+                ..LinkFault::clean(0, 1)
+            }],
+        }
+        .injector_for(0, 1);
+        let (conn_a, mut pump_a) = SocketConn::new(sa, cfg, health.clone()).unwrap();
+        // Distinct endpoint tags keep the cork from merging the frames.
+        for q in 0..7u16 {
+            let mut tx = conn_a.tx(0, q as usize);
+            assert!(matches!(
+                tx.offer(vec![pkt(1, q as u8).into()]),
+                LinkSend::Accepted
+            ));
+        }
+        for _ in 0..100 {
+            if matches!(pump_a.poll(), Step::Done) {
+                break;
+            }
+        }
+        assert!(health.peer_down().is_some(), "the sever must end the link");
+        let mut seqs = Vec::new();
+        let mut hdr = [0u8; FRAME_HEADER_BYTES];
+        while raw.read_exact(&mut hdr).is_ok() {
+            let body = (u32::from_le_bytes(hdr[4..8].try_into().unwrap()) & !V3_FLAG) as usize;
+            let mut skip = vec![0u8; body];
+            raw.read_exact(&mut skip).unwrap();
+            seqs.push(u64::from_le_bytes(hdr[8..16].try_into().unwrap()));
+        }
+        assert_eq!(seqs, vec![1, 2, 2, 4, 3, 5]);
     }
 }

@@ -22,13 +22,11 @@ fn faulty_collectives(
     count: u64,
     scheme: CollectiveScheme,
     stream_reconnect: ReconnectPolicy,
-    socket_pooling: bool,
 ) -> RunReport<RankOut> {
     let params = RuntimeParams {
         collective_scheme: scheme,
         reduce_credits: 32,
         stream_reconnect,
-        socket_pooling,
         ..Default::default()
     };
     run_split_spmd(
@@ -132,14 +130,7 @@ fn severed_link_heals_by_replay_uds() {
             ..LinkFault::clean(0, 1)
         }],
     });
-    let report = faulty_collectives(
-        &plan,
-        0,
-        64,
-        CollectiveScheme::Linear,
-        default_retry(),
-        true,
-    );
+    let report = faulty_collectives(&plan, 0, 64, CollectiveScheme::Linear, default_retry());
     assert_healed_results(&report.results, 0, 64);
     assert!(
         report.reconnects_healed >= 1,
@@ -158,54 +149,37 @@ fn severed_link_heals_by_replay_tcp() {
             ..LinkFault::clean(1, 0)
         }],
     });
-    let report = faulty_collectives(&plan, 1, 64, CollectiveScheme::Tree, default_retry(), true);
+    let report = faulty_collectives(&plan, 1, 64, CollectiveScheme::Tree, default_retry());
     assert_healed_results(&report.results, 1, 64);
     assert!(report.reconnects_healed >= 1);
 }
 
-/// The `socket_pooling` A/B knob under faults: the same sever-and-restore
-/// schedule heals to bit-identical results with the pooled v3 encoding and
-/// the unpooled v2 baseline (both flow through the staged fault seam, so
-/// per-frame drop/sever custody is preserved either way).
+/// An early sever on the vectored send path heals to exactly the results
+/// of the same plan run fault-free.
 #[test]
-fn sever_heals_identically_with_pooling_on_and_off() {
-    // The cork makes pooled runs emit far fewer frames, so the sever
-    // must trigger early to fire in both modes.
-    let mk_plan = || {
-        let mut plan = split_plan(4, 2, TransportBackend::Uds);
-        plan.faults = Some(FaultPlan {
-            links: vec![LinkFault {
-                sever: vec![SeverSpec { after_frame: 1 }],
-                restore: true,
-                ..LinkFault::clean(0, 1)
-            }],
-        });
-        plan
-    };
-    let pooled = faulty_collectives(
-        &mk_plan(),
-        0,
-        256,
-        CollectiveScheme::Tree,
-        default_retry(),
-        true,
-    );
-    let unpooled = faulty_collectives(
-        &mk_plan(),
-        0,
-        256,
-        CollectiveScheme::Tree,
-        default_retry(),
-        false,
-    );
-    assert_healed_results(&pooled.results, 0, 256);
-    assert_healed_results(&unpooled.results, 0, 256);
+fn early_sever_heals_to_fault_free_results() {
+    // The cork makes runs emit few frames, so the sever triggers early.
+    let mut plan = split_plan(4, 2, TransportBackend::Uds);
+    let clean = faulty_collectives(&plan, 0, 256, CollectiveScheme::Tree, default_retry());
+    plan.faults = Some(FaultPlan {
+        links: vec![LinkFault {
+            sever: vec![SeverSpec { after_frame: 1 }],
+            restore: true,
+            ..LinkFault::clean(0, 1)
+        }],
+    });
+    let healed = faulty_collectives(&plan, 0, 256, CollectiveScheme::Tree, default_retry());
+    assert_healed_results(&clean.results, 0, 256);
+    assert_healed_results(&healed.results, 0, 256);
     assert_eq!(
-        pooled.results, unpooled.results,
-        "pooling must be result-invariant under faults"
+        healed.results, clean.results,
+        "a healed sever must be result-invariant"
     );
-    assert!(pooled.reconnects_healed >= 1, "pooled run must heal");
-    assert!(unpooled.reconnects_healed >= 1, "unpooled run must heal");
+    assert_eq!(
+        clean.reconnects_healed, 0,
+        "the fault-free run must not heal"
+    );
+    assert!(healed.reconnects_healed >= 1, "the faulted run must heal");
 }
 
 #[test]
@@ -227,14 +201,7 @@ fn dropped_and_duplicated_frames_heal_transparently() {
             },
         ],
     });
-    let report = faulty_collectives(
-        &plan,
-        2,
-        64,
-        CollectiveScheme::Linear,
-        default_retry(),
-        true,
-    );
+    let report = faulty_collectives(&plan, 2, 64, CollectiveScheme::Linear, default_retry());
     assert_healed_results(&report.results, 2, 64);
     assert!(
         report.reconnects_healed >= 1,
@@ -251,14 +218,7 @@ fn delayed_frame_reorders_and_heals() {
             ..LinkFault::clean(0, 1)
         }],
     });
-    let report = faulty_collectives(
-        &plan,
-        0,
-        64,
-        CollectiveScheme::Linear,
-        default_retry(),
-        true,
-    );
+    let report = faulty_collectives(&plan, 0, 64, CollectiveScheme::Linear, default_retry());
     assert_healed_results(&report.results, 0, 64);
 }
 
@@ -283,7 +243,6 @@ fn sever_without_restore_surfaces_typed_peer_disconnect() {
         64,
         CollectiveScheme::Linear,
         ReconnectPolicy::retry_fixed(3, std::time::Duration::from_millis(10)),
-        true,
     );
     let disconnects: Vec<usize> = report
         .results
@@ -334,7 +293,6 @@ fn fail_policy_turns_first_fault_into_typed_error() {
         64,
         CollectiveScheme::Linear,
         ReconnectPolicy::Fail,
-        true,
     );
     assert!(
         report
@@ -433,7 +391,7 @@ proptest! {
         let scheme = if tree { CollectiveScheme::Tree } else { CollectiveScheme::Linear };
         let mut plan = split_plan(ranks, nproc, backend);
         plan.faults = Some(random_faults(nproc, entropy));
-        let report = faulty_collectives(&plan, root, count, scheme, default_retry(), true);
+        let report = faulty_collectives(&plan, root, count, scheme, default_retry());
         let n = report.results.len();
         prop_assert_eq!(n, ranks);
         for (rank, res) in report.results.iter().enumerate() {

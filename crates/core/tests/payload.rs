@@ -86,7 +86,7 @@ fn p2p_zero_copy_matches_baseline() {
 
 /// Bulk p2p across a real socket boundary (2 ranks / 2 processes over
 /// uds): returns (received stream, payload_copies).
-fn run_bulk_p2p_uds(n: u64, socket_pooling: bool) -> (Vec<i32>, u64) {
+fn run_bulk_p2p_uds(n: u64) -> (Vec<i32>, u64) {
     let topo = Topology::bus(2);
     let plan = ProcessPlan::split(&topo, TransportBackend::Uds, 2);
     let metas = vec![
@@ -109,7 +109,6 @@ fn run_bulk_p2p_uds(n: u64, socket_pooling: bool) -> (Vec<i32>, u64) {
     ];
     let params = RuntimeParams {
         zero_copy: true,
-        socket_pooling,
         ..Default::default()
     };
     let report = run_split_mpmd(&plan, metas, programs, params).unwrap();
@@ -121,32 +120,23 @@ fn run_bulk_p2p_uds(n: u64, socket_pooling: bool) -> (Vec<i32>, u64) {
 fn socket_boundary_costs_at_most_one_copy_per_element_when_pooled() {
     // Whole packets only (7 i32s each), so the accounting is exact: the
     // in-memory zero-copy run costs 2 copies per element byte (wrap +
-    // drain). Crossing a pooled socket may add at most ~1 more — the
-    // single encode into the pooled send buffer; the receive side decodes
-    // run payloads as views borrowing the pooled block, copy-free. The
-    // unpooled baseline also restages payload on receive, so it must
-    // meter strictly more.
+    // drain). Crossing a socket may add at most ~1 more — the single
+    // encode into the pooled send buffer; the receive side decodes run
+    // payloads as views borrowing the pooled block, copy-free.
     let n = 7_000u64;
     let bytes = n * 4;
     let (want, inmem) = run_bulk_p2p(2, n, true);
-    let (pooled_got, pooled) = run_bulk_p2p_uds(n, true);
-    let (unpooled_got, unpooled) = run_bulk_p2p_uds(n, false);
+    let (pooled_got, pooled) = run_bulk_p2p_uds(n);
     assert_eq!(pooled_got, want);
-    assert_eq!(unpooled_got, want);
     eprintln!(
-        "copies/elem: inmem={:.2} pooled={:.2} unpooled={:.2}",
+        "copies/elem: inmem={:.2} socket={:.2}",
         inmem as f64 / bytes as f64,
-        pooled as f64 / bytes as f64,
-        unpooled as f64 / bytes as f64
+        pooled as f64 / bytes as f64
     );
     let pooled_extra = pooled.saturating_sub(inmem);
     assert!(
         pooled_extra <= bytes + bytes / 4,
         "pooled socket boundary added {pooled_extra} copied bytes for          {bytes} payload bytes: expected ≤ ~1 copy per element"
-    );
-    assert!(
-        unpooled >= pooled + bytes / 2,
-        "unpooled ({unpooled} B) should restage payload on receive and          meter well above pooled ({pooled} B)"
     );
 }
 

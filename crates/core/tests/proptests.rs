@@ -336,21 +336,9 @@ fn all_collectives_split(
     count: u64,
     scheme: smi::CollectiveScheme,
 ) -> Vec<(Vec<i32>, Vec<i32>, Vec<i32>, Vec<i32>)> {
-    all_collectives_split_pooling(plan, root, count, scheme, true)
-}
-
-#[allow(clippy::type_complexity)]
-fn all_collectives_split_pooling(
-    plan: &ProcessPlan,
-    root: usize,
-    count: u64,
-    scheme: smi::CollectiveScheme,
-    socket_pooling: bool,
-) -> Vec<(Vec<i32>, Vec<i32>, Vec<i32>, Vec<i32>)> {
     let params = RuntimeParams {
         collective_scheme: scheme,
         reduce_credits: 32, // several windows at moderate counts
-        socket_pooling,
         ..Default::default()
     };
     let meta = ProgramMeta::new()
@@ -496,20 +484,19 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Socket-plane pooling equivalence: pooled ≡ unpooled ≡ inmem
+// Socket-plane equivalence: tcp/uds ≡ inmem
 // ---------------------------------------------------------------------------
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
 
-    /// The pooled socket fast path (v3 vectored frames, encode-buffer slab,
-    /// cork, zero-copy receive decode) is wire-behavior-invariant: all four
-    /// collectives deliver bit-identical results with pooling on, pooling
-    /// off, and on the in-memory plane, for random rank counts (2..=8),
-    /// roots, payload lengths, partitions, schemes and both socket
-    /// backends.
+    /// The socket path (v3 vectored frames, encode-buffer slab, cork,
+    /// zero-copy receive decode) is result-invariant: all four collectives
+    /// deliver bit-identical results over sockets and on the in-memory
+    /// plane, for random rank counts (2..=8), roots, payload lengths,
+    /// partitions, schemes and both socket backends.
     #[test]
-    fn pooled_socket_matches_unpooled_and_in_memory(
+    fn socket_matches_in_memory(
         ranks_pick in any::<u8>(),
         root_pick in any::<u8>(),
         nproc_pick in any::<u8>(),
@@ -533,16 +520,10 @@ proptest! {
         let topo = Topology::bus(ranks);
         let plan = ProcessPlan::split(&topo, backend, nproc);
         let inmem = all_collectives(ranks, root, count, scheme);
-        let pooled = all_collectives_split_pooling(&plan, root, count, scheme, true);
-        let unpooled = all_collectives_split_pooling(&plan, root, count, scheme, false);
+        let socket = all_collectives_split(&plan, root, count, scheme);
         prop_assert_eq!(
-            &pooled, &unpooled,
-            "pooled != unpooled: ranks={} root={} nproc={} count={} scheme={:?} backend={}",
-            ranks, root, nproc, count, scheme, backend
-        );
-        prop_assert_eq!(
-            &inmem, &pooled,
-            "pooled != inmem: ranks={} root={} nproc={} count={} scheme={:?} backend={}",
+            &inmem, &socket,
+            "socket != inmem: ranks={} root={} nproc={} count={} scheme={:?} backend={}",
             ranks, root, nproc, count, scheme, backend
         );
     }

@@ -14,22 +14,8 @@ fn collective_suite(
     count: u64,
     scheme: CollectiveScheme,
 ) -> Vec<(Vec<i32>, Vec<i32>, Vec<i32>, Vec<i32>)> {
-    collective_suite_with(plan, root, count, scheme, true)
-}
-
-/// [`collective_suite`] with an explicit `socket_pooling` setting, for the
-/// pooled ≡ unpooled A/B comparisons.
-#[allow(clippy::type_complexity)]
-fn collective_suite_with(
-    plan: &ProcessPlan,
-    root: usize,
-    count: u64,
-    scheme: CollectiveScheme,
-    socket_pooling: bool,
-) -> Vec<(Vec<i32>, Vec<i32>, Vec<i32>, Vec<i32>)> {
     let params = RuntimeParams {
         collective_scheme: scheme,
-        socket_pooling,
         ..Default::default()
     };
     let meta = ProgramMeta::new()
@@ -124,11 +110,11 @@ fn collective_suite_identical_across_backends_and_splits() {
     }
 }
 
-/// The pooled socket fast path (vectored v3 frames, cork, zero-copy
-/// receive decode) is result-invariant: pooled ≡ unpooled ≡ inmem for all
-/// four collectives across uds/tcp and 2–8 ranks.
+/// The socket path (vectored v3 frames, cork, zero-copy receive decode) is
+/// result-invariant: socket ≡ inmem for all four collectives across
+/// uds/tcp and 2–8 ranks.
 #[test]
-fn pooled_unpooled_inmem_identical_across_rank_counts() {
+fn socket_and_inmem_identical_across_rank_counts() {
     let count = 40;
     for (ranks, nproc, root) in [(2usize, 2usize, 0usize), (3, 3, 1), (5, 2, 2), (8, 4, 7)] {
         let topo = Topology::bus(ranks);
@@ -145,13 +131,11 @@ fn pooled_unpooled_inmem_identical_across_rank_counts() {
         );
         for backend in [TransportBackend::Uds, TransportBackend::Tcp] {
             let plan = ProcessPlan::split(&topo, backend, nproc);
-            for pooling in [true, false] {
-                let got = collective_suite_with(&plan, root, count, scheme, pooling);
-                assert_eq!(
-                    reference, got,
-                    "backend={backend} ranks={ranks} nproc={nproc} pooling={pooling}"
-                );
-            }
+            let got = collective_suite(&plan, root, count, scheme);
+            assert_eq!(
+                reference, got,
+                "backend={backend} ranks={ranks} nproc={nproc}"
+            );
         }
     }
 }
